@@ -20,7 +20,6 @@ from .network import (
 )
 from .objective import (
     ObjectiveSpec,
-    ResourcePlan,
     SimSummary,
     constraint_violations,
     make_allocation_problem,
@@ -47,7 +46,6 @@ __all__ = [
     "RandomStreams",
     "ReplicationOutput",
     "ReplicationSpec",
-    "ResourcePlan",
     "Scenario",
     "ScenarioError",
     "SimSummary",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import SLOTS_PER_DAY
 from .engine import ReplicationSpec
-from .simulate import run_replication
+from .simulate import replicate
 
 DEFAULT_BOUNDS = (2, 10)
 
@@ -35,15 +35,9 @@ def simulated_waits(scenario, capacities, replications, base_spec):
     """Replication-averaged 3x2 (slot, tag) mean waits of a single-ED scenario."""
     if scenario.n_eds != 1:
         raise ValueError("simulated_waits expects a single-ED scenario")
-    plan = np.array([[int(c) for c in capacities]])
+    plan = np.array([capacities])
     total = np.zeros((SLOTS_PER_DAY, 2))
-    for k in range(replications):
-        spec = ReplicationSpec(
-            horizon=base_spec.horizon,
-            warmup=base_spec.warmup,
-            seed=base_spec.seed + k + 1,
-        )
-        out = run_replication(scenario, plan, "P1", spec)
+    for out in replicate(scenario, plan, "P1", replications, base_spec):
         total += out.slot_tag_waits(0)
     return total / replications
 

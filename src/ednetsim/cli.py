@@ -16,7 +16,7 @@ import numpy as np
 from .calibrate import DEFAULT_BOUNDS, calibrate_network
 from .engine import ReplicationSpec
 from .network import POLICY_IDS, PolicySpec, TAG_NAMES
-from .objective import ResourcePlan, make_allocation_problem, saa_evaluate
+from .objective import make_allocation_problem, saa_evaluate
 from .reporting import (
     fmt_minutes,
     read_objective_csv,
@@ -151,12 +151,11 @@ def cmd_optimize(scenario, policy=None, budget=700, replications=30, seed=None, 
     result = solve(problem)
     start_summary = evaluate.summaries[tuple(int(v) for v in start.reshape(-1))]
     best_summary = evaluate.summaries[result.x]
-    best_plan = ResourcePlan.from_flat(result.x, scenario.n_eds)
 
     write_plan_csv(
         os.path.join(out_dir, f"optimal_plan_{pol.id}.csv"),
         scenario.ed_names,
-        best_plan.counts,
+        best_summary.plan,
     )
     write_objective_csv(
         os.path.join(out_dir, f"objective_{pol.id}.csv"),
@@ -186,13 +185,13 @@ def cmd_optimize(scenario, policy=None, budget=700, replications=30, seed=None, 
             f"f_start: {fmt_minutes(start_summary.objective)}",
             f"f_opt: {fmt_minutes(result.f)}",
             f"total_violation_opt: {fmt_minutes(result.total_violation)}",
-            f"total_resources_opt: {best_plan.total}",
+            f"total_resources_opt: {best_summary.plan.sum()}",
             f"wall_seconds: {time.perf_counter() - t0:.2f}",
         ],
     )
     return {
         "policy": pol.id,
-        "plan": best_plan,
+        "plan": best_summary.plan,
         "f_start": start_summary.objective,
         "f_opt": result.f,
         "result": result,

@@ -87,19 +87,19 @@ class ArrivalProcess:
                 e -= capacity
             t = slot_end
 
-    def arrival_times(self, horizon, rng, start=0.0):
-        """All arrival times in [start, horizon), strictly increasing.
+    def arrival_times(self, horizon, rng):
+        """All arrival times in [0, horizon), strictly increasing.
 
         Equivalent to chaining `sample_interarrival`: the k-th arrival is
         the inverse cumulative intensity at the k-th partial sum of Exp(1)
         draws.  Both paths consume the random stream identically and
         agree up to floating-point rounding.
         """
-        if self.day_intensity == 0.0 or horizon <= start:
+        if self.day_intensity == 0.0 or horizon <= 0.0:
             return np.empty(0)
-        target = self.cumulative_intensity(horizon) - self.cumulative_intensity(start)
+        target = self.cumulative_intensity(horizon)
         n0 = int(target + 8.0 * math.sqrt(target + 1.0) + 16.0)
-        acc = self.cumulative_intensity(start)
+        acc = 0.0
         out = []
         done = False
         n = max(64, n0)
@@ -204,11 +204,6 @@ class LosDistribution:
 
     def sample(self, rng):
         return self.quantile(rng.random())
-
-
-def sample_los(dist, rng):
-    """Positive duration drawn from the configured family."""
-    return dist.sample(rng)
 
 
 @dataclass

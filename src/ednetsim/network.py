@@ -9,7 +9,7 @@ network.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class Patient:
         "serving",
         "t_triage",
         "t_service_start",
-        "t_discharge",
         "transfer_minutes",
         "redirects",
         "entry_slot",
@@ -78,7 +77,6 @@ class Patient:
         self.serving = origin
         self.t_triage = t_triage
         self.t_service_start = None
-        self.t_discharge = None
         self.transfer_minutes = 0.0
         self.redirects = 0
         self.entry_slot = 0
@@ -181,13 +179,12 @@ def nearest_order(tau):
     ]
 
 
-def decide_routing(policy, eds, tau, order, tag, origin, redirects=0):
+def decide_routing(policy, eds, tau, order, tag, origin):
     """Board-or-redirect decision for a patient arriving at `origin`.
 
     Returns the target ED index for a redirection, or None to board.
-    Patients who have already been redirected once always board.
     """
-    if redirects > 0 or policy.id == "P1":
+    if policy.id == "P1":
         return None
     origin_ed = eds[origin]
 

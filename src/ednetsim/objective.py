@@ -9,14 +9,14 @@ averaging independent simulation replications that share seeds across
 candidate plans (common random numbers).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, MeanCI, summarize
 from .engine import ReplicationSpec
 from .network import RED, YELLOW, PolicySpec
-from .simulate import run_replication
+from .simulate import check_plan, replicate
 
 
 @dataclass(frozen=True)
@@ -37,63 +37,14 @@ class ObjectiveSpec:
             raise ValueError("expected NVA limits for (yellow, red)")
 
 
-@dataclass(frozen=True)
-class ResourcePlan:
-    """Integer resource counts, rows = EDs, columns = daily slots."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        rows = []
-        for row in self.counts:
-            row = tuple(int(v) for v in row)
-            if len(row) != SLOTS_PER_DAY:
-                raise ValueError(f"each plan row needs {SLOTS_PER_DAY} slot counts")
-            rows.append(row)
-        object.__setattr__(self, "counts", tuple(rows))
-
-    @classmethod
-    def from_array(cls, array):
-        return cls(tuple(tuple(int(v) for v in row) for row in np.asarray(array)))
-
-    @property
-    def n_eds(self):
-        return len(self.counts)
-
-    @property
-    def total(self):
-        return sum(sum(row) for row in self.counts)
-
-    def as_array(self):
-        return np.array(self.counts, dtype=int)
-
-    def flat(self):
-        return tuple(v for row in self.counts for v in row)
-
-    @classmethod
-    def from_flat(cls, values, n_eds):
-        values = tuple(int(v) for v in values)
-        if len(values) != n_eds * SLOTS_PER_DAY:
-            raise ValueError(
-                f"expected {n_eds * SLOTS_PER_DAY} entries, got {len(values)}"
-            )
-        return cls(
-            tuple(
-                values[i * SLOTS_PER_DAY : (i + 1) * SLOTS_PER_DAY]
-                for i in range(n_eds)
-            )
-        )
-
-
 def objective_value(plan, mean_nva, spec=None):
     """Weighted cost of a plan given per-(ED, tag) mean NVA minutes."""
     if spec is None:
         spec = ObjectiveSpec()
-    plan = ResourcePlan.from_array(plan) if not isinstance(plan, ResourcePlan) else plan
     mean_nva = np.asarray(mean_nva, dtype=float)
     w_res, w_yellow, w_red = spec.weights
     return (
-        w_res * SLOT_MINUTES * plan.total
+        w_res * SLOT_MINUTES * np.sum(plan)
         + w_yellow * mean_nva[:, YELLOW].sum()
         + w_red * mean_nva[:, RED].sum()
     )
@@ -112,10 +63,8 @@ def constraint_violations(mean_nva, spec=None):
 class SimSummary:
     """Sample-average estimate of one plan under one policy."""
 
-    plan: ResourcePlan
-    policy_id: str
+    plan: np.ndarray               # (n_eds, slots) int resource counts
     replications: int
-    seed_base: int
     rep_means: np.ndarray          # (R, n_eds, 2) per-replication mean NVA
     mean_nva: np.ndarray           # (n_eds, 2) averaged over replications
     half_width: np.ndarray         # (n_eds, 2) 95% CI half-widths (NaN when R < 2)
@@ -145,8 +94,8 @@ def saa_evaluate(
 ):
     """Estimate cost and constraints of a plan by averaging replications.
 
-    Replication k uses seed base_spec.seed + k + 1, so two plans evaluated
-    with the same base share every random stream.
+    The replications come from `replicate`, so two plans evaluated with
+    the same base share every random stream.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -155,19 +104,12 @@ def saa_evaluate(
     if objective_spec is None:
         objective_spec = ObjectiveSpec()
     policy = PolicySpec.coerce(policy)
-    if not isinstance(plan, ResourcePlan):
-        plan = ResourcePlan.from_array(plan)
     n = scenario.n_eds
+    plan = check_plan(plan, n, scenario.plan_bounds)
 
     rep_means = np.zeros((replications, n, 2))
     redirects = np.zeros((replications, n))
-    for k in range(replications):
-        spec = ReplicationSpec(
-            horizon=base_spec.horizon,
-            warmup=base_spec.warmup,
-            seed=base_spec.seed + k + 1,
-        )
-        out = run_replication(scenario, plan.as_array(), policy, spec)
+    for k, out in enumerate(replicate(scenario, plan, policy, replications, base_spec)):
         for i in range(n):
             rep_means[k, i, YELLOW] = out.mean_nva(i, YELLOW)
             rep_means[k, i, RED] = out.mean_nva(i, RED)
@@ -182,9 +124,7 @@ def saa_evaluate(
 
     return SimSummary(
         plan=plan,
-        policy_id=policy.id,
         replications=replications,
-        seed_base=base_spec.seed,
         rep_means=rep_means,
         mean_nva=mean_nva,
         half_width=half_width,
@@ -211,7 +151,7 @@ def make_allocation_problem(
     summaries = {}
 
     def evaluate(x):
-        plan = ResourcePlan.from_flat(x, n)
+        plan = np.reshape(x, (n, SLOTS_PER_DAY))
         summary = saa_evaluate(
             scenario,
             plan,
@@ -220,7 +160,7 @@ def make_allocation_problem(
             base_spec=base_spec,
             objective_spec=objective_spec,
         )
-        summaries[plan.flat()] = summary
+        summaries[tuple(x)] = summary
         return summary.objective, summary.violations.reshape(-1)
 
     evaluate.summaries = summaries

@@ -24,8 +24,6 @@ from .engine import ReplicationSpec
 from .network import RED, YELLOW, PolicySpec, validate_transfer_matrix
 from .objective import ObjectiveSpec
 
-PAPER_ED_COUNT = 6
-
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the key path."""
@@ -108,7 +106,6 @@ class Scenario:
     """Fully validated study inputs; see parse_scenario."""
 
     name: str
-    mode: str
     ed_names: list
     arrivals: list          # [ed][tag] -> ArrivalProcess | None
     los: list               # [ed][tag][slot] -> LosDistribution
@@ -130,7 +127,6 @@ class Scenario:
             raise ValueError(f"ED index {ed} out of range [0, {self.n_eds})")
         return Scenario(
             name=f"{self.name}:{self.ed_names[ed]}",
-            mode="generic",
             ed_names=[self.ed_names[ed]],
             arrivals=[self.arrivals[ed]],
             los=[self.los[ed]],
@@ -151,17 +147,10 @@ def scenario_from_dict(data, name="inline"):
     if not isinstance(data, dict):
         raise ScenarioError("scenario: top level must be a mapping")
     name = str(data.get("name", name))
-    mode = str(data.get("mode", "generic"))
-    if mode not in ("paper", "generic"):
-        raise ScenarioError(f"mode: expected 'paper' or 'generic', got {mode!r}")
 
     eds = _require(data, "eds", "scenario")
     if not isinstance(eds, list) or not eds:
         raise ScenarioError("eds: expected a non-empty list")
-    if mode == "paper" and len(eds) != PAPER_ED_COUNT:
-        raise ScenarioError(
-            f"eds: paper mode requires exactly {PAPER_ED_COUNT} EDs, got {len(eds)}"
-        )
 
     ed_names, arrivals, los, real_rows = [], [], [], []
     for i, ed in enumerate(eds):
@@ -221,9 +210,11 @@ def scenario_from_dict(data, name="inline"):
         raise ScenarioError("policy: expected a policy id or a mapping with 'id'")
     thresholds = pol_node.get("p3_thresholds")
     if thresholds is not None:
-        thresholds = [
-            int(v) for v in _numbers(thresholds, n, "policy.p3_thresholds", minimum=1)
-        ]
+        thresholds = _numbers(thresholds, n, "policy.p3_thresholds", minimum=1)
+        for k, v in enumerate(thresholds):
+            if not v.is_integer():
+                raise ScenarioError(f"policy.p3_thresholds[{k}]: expected an integer, got {v}")
+        thresholds = [int(v) for v in thresholds]
     try:
         policy = PolicySpec(
             id=str(pol_node["id"]),
@@ -304,7 +295,6 @@ def scenario_from_dict(data, name="inline"):
 
     return Scenario(
         name=name,
-        mode=mode,
         ed_names=ed_names,
         arrivals=arrivals,
         los=los,

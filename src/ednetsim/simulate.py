@@ -7,7 +7,7 @@ non-value-added time to the ED that eventually serves them, in the slot
 during which they entered that ED.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +76,11 @@ class ReplicationOutput:
         return waits
 
 
-def _validate_plan(plan, n_eds, bounds):
+def check_plan(plan, n_eds, bounds):
+    """The plan as an int array of shape (n_eds, slots), or ValueError.
+
+    Entries must be whole numbers within `bounds` (low, high).
+    """
     plan = np.asarray(plan)
     if plan.shape != (n_eds, SLOTS_PER_DAY):
         raise ValueError(
@@ -111,7 +115,7 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
         spec = ReplicationSpec()
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
-    plan = _validate_plan(plan, n, scenario.plan_bounds)
+    plan = check_plan(plan, n, scenario.plan_bounds)
     tau = scenario.transfer
     order = nearest_order(tau)
     horizon, warmup = spec.horizon, spec.warmup
@@ -194,7 +198,6 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
 
         elif kind == SERVICE_COMPLETE:
             patient = payload
-            patient.t_discharge = clock
             discharged += 1
             ed_idx = patient.serving
             if patient.t_triage >= warmup:
@@ -206,6 +209,7 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
                 start_service(follower, ed_idx, clock)
 
         elif kind == TRANSFER_COMPLETE:
+            # boarding without a routing decision: nobody is redirected twice
             patient = payload
             board(patient, patient.serving, clock)
 
@@ -239,3 +243,16 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
         in_system=in_system,
         patients=records,
     )
+
+
+def replicate(scenario, plan, policy, replications, base_spec):
+    """Yield the outputs of `replications` runs of one plan, in order.
+
+    The runs take the seeds following base_spec.seed, one each, so every
+    plan evaluated from the same base shares its random streams (common
+    random numbers).  This is the only place that maps a base seed to
+    replication seeds.
+    """
+    for k in range(replications):
+        spec = replace(base_spec, seed=base_spec.seed + k + 1)
+        yield run_replication(scenario, plan, policy, spec)

@@ -203,12 +203,6 @@ def test_p4_tie_breaks_by_transfer_time_then_index():
     )
 
 
-def test_redirected_patients_always_board():
-    eds = _network([2, 2, 2])
-    for pid in ("P2", "P3", "P4"):
-        assert decide_routing(PolicySpec(pid), eds, TAU, ORDER, YELLOW, 0, redirects=1) is None
-
-
 def test_start_transfer_bookkeeping():
     p = mk(origin=0)
     minutes = start_transfer(p, 0, 1, TAU)

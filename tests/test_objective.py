@@ -6,7 +6,6 @@ import pytest
 from ednetsim import (
     ObjectiveSpec,
     ReplicationSpec,
-    ResourcePlan,
     constraint_violations,
     make_allocation_problem,
     objective_value,
@@ -35,20 +34,8 @@ NVA_P1 = [
 ]
 
 
-def test_resource_plan_shapes():
-    plan = ResourcePlan.from_array(START_PLAN)
-    assert plan.n_eds == 6
-    assert plan.total == 66
-    assert plan.flat()[:4] == (4, 4, 4, 4)
-    assert ResourcePlan.from_flat(plan.flat(), 6) == plan
-    with pytest.raises(ValueError):
-        ResourcePlan(((4, 4),))
-    with pytest.raises(ValueError):
-        ResourcePlan.from_flat((1, 2, 3), 6)
-
-
 def test_objective_value_published_starting_point():
-    f = objective_value(ResourcePlan.from_array(START_PLAN), NVA_P1)
+    f = objective_value(np.array(START_PLAN), NVA_P1)
     assert f == pytest.approx(480.0 * 66 + 300.0 * 165.04 + 600.0 * 77.10)
     assert f == pytest.approx(127454.63, rel=1e-3)
 
@@ -56,8 +43,10 @@ def test_objective_value_published_starting_point():
 def test_objective_value_weights():
     spec = ObjectiveSpec(weights=(2.0, 10.0, 20.0))
     nva = [[1.0, 2.0]]
-    f = objective_value(ResourcePlan.from_array([[1, 1, 1]]), nva, spec)
+    f = objective_value(np.array([[1, 1, 1]]), nva, spec)
     assert f == pytest.approx(2.0 * 480.0 * 3 + 10.0 * 1.0 + 20.0 * 2.0)
+    f = objective_value(np.array([[2.9, 2.9, 2.9]]), nva, spec)
+    assert f == pytest.approx(2.0 * 480.0 * 8.7 + 10.0 * 1.0 + 20.0 * 2.0)
 
 
 def test_constraint_violations_published_rows():
@@ -133,4 +122,6 @@ def test_make_allocation_problem_round_trip():
     assert f == summary.objective
     assert len(g) == 4  # 2 EDs x 2 tags
     assert np.all(np.asarray(g) >= 0.0)
-    assert summary.policy_id == "P2"
+    assert summary.plan.tolist() == [[1, 1, 1], [4, 4, 4]]
+    with pytest.raises(ValueError):
+        evaluate((1, 2, 3))

@@ -26,7 +26,6 @@ def paper_dict(n=6):
         ed["arrivals"]["red"] = {"counts": [94, 299, 187]}
         eds.append(ed)
     return {
-        "mode": "paper",
         "eds": eds,
         "transfer_minutes": [
             [0.0 if i == j else 10.0 + (i + j) % 3 * 5.0 for j in range(n)]
@@ -42,12 +41,6 @@ def test_counts_convert_to_rates():
     assert yellow.slot_rates[0] == pytest.approx(875 / (365.0 * 480.0))
     red = sc.arrivals[0][RED]
     assert red.slot_rates[2] == pytest.approx(187 / (365.0 * 480.0))
-
-
-def test_paper_mode_requires_six_eds():
-    with pytest.raises(ScenarioError, match="paper mode requires exactly 6"):
-        scenario_from_dict(paper_dict(n=5))
-    scenario_from_dict(paper_dict(n=6))
 
 
 def test_nonzero_diagonal_rejected():
@@ -133,6 +126,9 @@ def test_policy_parsing():
     data["policy"] = {"id": "P3", "p3_thresholds": [2]}
     with pytest.raises(ScenarioError, match="p3_thresholds"):
         scenario_from_dict(data)
+    data["policy"] = {"id": "P3", "p3_thresholds": [2, 2.5]}
+    with pytest.raises(ScenarioError, match=r"policy\.p3_thresholds\[1\]"):
+        scenario_from_dict(data)
 
 
 def test_objective_and_replication_blocks():
@@ -155,7 +151,6 @@ def test_objective_and_replication_blocks():
 
 def test_defaults():
     sc = scenario_from_dict({"eds": [minimal_ed()]})
-    assert sc.mode == "generic"
     assert sc.policy.id == "P1"
     assert sc.plan_bounds == (2, 10)
     assert sc.objective_spec.weights == (1.0, 300.0, 600.0)

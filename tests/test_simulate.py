@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ednetsim import ReplicationSpec, run_replication
+from ednetsim import ReplicationSpec, run_replication, saa_evaluate
+from ednetsim.calibrate import simulated_waits
 from ednetsim.network import RED, YELLOW
 
 from util import asymmetric_pair_scenario, network_scenario, plan_for, single_ed_scenario
@@ -124,6 +125,24 @@ def test_plan_validation():
         run_replication(sc, np.array([[2, 2, 11]]), "P1", short_spec())
     with pytest.raises(ValueError):
         run_replication(sc, np.array([[2.5, 2.0, 2.0]]), "P1", short_spec())
+    with pytest.raises(ValueError):
+        saa_evaluate(sc, [[2.5, 2, 2]], "P1", replications=1, base_spec=short_spec())
+
+
+def test_replication_k_runs_on_seed_base_plus_k_plus_one():
+    # pins the seed layout that saa_evaluate and simulated_waits share;
+    # a change of layout must change this test on purpose
+    sc = single_ed_scenario(rates_yellow=(0.08, 0.08, 0.08), rates_red=(0.02, 0.02, 0.02))
+    plan = np.array([[2, 3, 2]])
+    base = short_spec(seed=40, days=5)
+    direct = [run_replication(sc, plan, "P1", short_spec(seed=41 + k, days=5)) for k in range(2)]
+    summary = saa_evaluate(sc, plan, "P1", replications=2, base_spec=base)
+    for k, out in enumerate(direct):
+        assert summary.rep_means[k, 0, YELLOW] == out.mean_nva(0, YELLOW)
+        assert summary.rep_means[k, 0, RED] == out.mean_nva(0, RED)
+    waits = simulated_waits(sc, (2, 3, 2), 2, base)
+    expected = (direct[0].slot_tag_waits(0) + direct[1].slot_tag_waits(0)) / 2
+    assert np.array_equal(waits, expected)
 
 
 def test_p3_thresholds_length_checked():
