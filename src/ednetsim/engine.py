@@ -27,7 +27,7 @@ KIND_NAMES = {
 }
 
 # Purpose tags for random substreams, one code per purpose.
-STREAM_PURPOSES = ("arrival-yellow", "arrival-red", "los", "routing")
+STREAM_PURPOSES = ("arrival-yellow", "arrival-red", "los")
 _PURPOSE_CODES = {name: i for i, name in enumerate(STREAM_PURPOSES)}
 
 

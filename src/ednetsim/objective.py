@@ -9,7 +9,7 @@ averaging independent simulation replications that share seeds across
 candidate plans (common random numbers).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,11 +91,19 @@ def saa_evaluate(
     replications=30,
     base_spec=None,
     objective_spec=None,
+    ed_memo=None,
 ):
     """Estimate cost and constraints of a plan by averaging replications.
 
     The replications come from `replicate`, so two plans evaluated with
     the same base share every random stream.
+
+    ed_memo: P1 only.  A dict from (ED index, plan row) to that ED's
+        per-replication mean NVA, shape (replications, 2), shared by the
+        evaluations of one scenario, replication count and base_spec.
+        Under P1 an ED's estimate depends on its own row alone, so rows
+        missing from the memo are simulated one ED at a time and added,
+        and the others are not simulated again.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -104,16 +112,26 @@ def saa_evaluate(
     if objective_spec is None:
         objective_spec = ObjectiveSpec()
     policy = PolicySpec.coerce(policy)
+    if ed_memo is not None and policy.id != "P1":
+        raise ValueError(f"per-ED memoization needs policy P1, got {policy.id}")
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds)
 
     rep_means = np.zeros((replications, n, 2))
     redirects = np.zeros((replications, n))
-    for k, out in enumerate(replicate(scenario, plan, policy, replications, base_spec)):
+    if ed_memo is None:
+        for k, out in enumerate(replicate(scenario, plan, policy, replications, base_spec)):
+            for i in range(n):
+                rep_means[k, i, YELLOW] = out.mean_nva(i, YELLOW)
+                rep_means[k, i, RED] = out.mean_nva(i, RED)
+            redirects[k] = out.redirects_out
+    else:
         for i in range(n):
-            rep_means[k, i, YELLOW] = out.mean_nva(i, YELLOW)
-            rep_means[k, i, RED] = out.mean_nva(i, RED)
-        redirects[k] = out.redirects_out
+            key = (i, tuple(plan[i].tolist()))
+            if key not in ed_memo:
+                ed_memo[key] = _solo_rep_means(scenario, plan, policy, replications, base_spec, i)
+            rep_means[:, i, :] = ed_memo[key]
+        # nobody is redirected under P1, so redirects stay 0
 
     mean_nva = rep_means.mean(axis=0)
     half_width = np.full((n, 2), np.nan)
@@ -134,6 +152,25 @@ def saa_evaluate(
     )
 
 
+def _solo_rep_means(scenario, plan, policy, replications, base_spec, ed):
+    """Per-replication mean NVA of one ED with every other ED's arrivals removed.
+
+    Streams stay keyed by the ED's own index, so under P1 the result is
+    bit-identical to that ED's share of a whole-network run (unlike
+    Scenario.isolate, which moves the ED to index 0).
+    """
+    solo = replace(
+        scenario,
+        arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
+    )
+    return np.array(
+        [
+            (out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED))
+            for out in replicate(solo, plan, policy, replications, base_spec)
+        ]
+    )
+
+
 def make_allocation_problem(
     scenario,
     policy,
@@ -146,9 +183,12 @@ def make_allocation_problem(
     Returns (evaluate, n_vars) where evaluate maps a flat integer vector
     to (objective, per-(ED, tag) violation vector).  The SimSummary of
     each evaluated point is kept on evaluate.summaries for reporting.
+    Under P1 the evaluations share one per-ED memo (see saa_evaluate), so
+    each (ED, plan row) is simulated once per problem.
     """
     n = scenario.n_eds
     summaries = {}
+    ed_memo = {} if PolicySpec.coerce(policy).id == "P1" else None
 
     def evaluate(x):
         plan = np.reshape(x, (n, SLOTS_PER_DAY))
@@ -159,6 +199,7 @@ def make_allocation_problem(
             replications=replications,
             base_spec=base_spec,
             objective_spec=objective_spec,
+            ed_memo=ed_memo,
         )
         summaries[tuple(x)] = summary
         return summary.objective, summary.violations.reshape(-1)

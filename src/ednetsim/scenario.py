@@ -8,6 +8,7 @@ resource plan.  Validation errors name the offending key path so a bad
 file can be fixed without reading this module.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ def _numbers(value, count, path, minimum=None):
     for k, v in enumerate(value):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ScenarioError(f"{path}[{k}]: expected a number, got {v!r}")
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ScenarioError(f"{path}[{k}]: expected a finite number, got {v!r}")
         if minimum is not None and v < minimum:
             raise ScenarioError(f"{path}[{k}]: value {v} below minimum {minimum}")
         out.append(float(v))

@@ -283,6 +283,14 @@ def test_unreadable_scenario_fails(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_non_finite_scenario_number_fails(tmp_path, capsys):
+    path = tmp_path / "inf.yaml"
+    path.write_text(SCENARIO.replace("plan_bounds: [1, 6]", "plan_bounds: [1, .inf]"))
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "plan_bounds[1]" in capsys.readouterr().err
+
+
 def test_optimize_csv_byte_deterministic(scenario_file, tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -78,7 +78,7 @@ def test_streams_are_reproducible():
 def test_streams_differ_across_eds_purposes_and_seeds():
     base = RandomStreams(7).get(0, "los").random(8)
     assert not np.array_equal(base, RandomStreams(7).get(1, "los").random(8))
-    assert not np.array_equal(base, RandomStreams(7).get(0, "routing").random(8))
+    assert not np.array_equal(base, RandomStreams(7).get(0, "arrival-red").random(8))
     assert not np.array_equal(base, RandomStreams(8).get(0, "los").random(8))
 
 

@@ -197,6 +197,20 @@ def test_plan_bounds_validation():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value, path",
+    [
+        ("starting_plan", [[float("inf"), 2, 2]], r"starting_plan\[0\]\[0\]"),
+        ("plan_bounds", [2, float("inf")], r"plan_bounds\[1\]"),
+        ("starting_plan", [[4, float("nan"), 4]], r"starting_plan\[0\]\[1\]"),
+    ],
+)
+def test_non_finite_numbers_name_key_path(key, value, path):
+    data = {"eds": [minimal_ed()], key: value}
+    with pytest.raises(ScenarioError, match=path + ": expected a finite number"):
+        scenario_from_dict(data)
+
+
 def test_isolate():
     ed_a, ed_b = minimal_ed("A"), minimal_ed("B", rates=(0.2, 0.2, 0.2))
     ed_a["real_waits"] = {"yellow": [30, 45, 40], "red": [10, 15, 12]}
