@@ -8,6 +8,7 @@ Exp(1) draw per arrival.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -117,6 +118,19 @@ class ArrivalProcess:
         return np.concatenate(out) if len(out) > 1 else out[0]
 
 
+def finite_number(value, name):
+    """value as a float, or a ValueError naming `name` unless it is a finite number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class LosDistribution:
     """Length-of-stay distribution for one delay code (ED, slot, tag).
@@ -138,48 +152,52 @@ class LosDistribution:
             raise ValueError(
                 f"unknown LOS family {self.family!r}; expected one of {LOS_FAMILIES}"
             )
-        p = dict(self.params)
+        p = {}
+        for key, value in self.params.items():
+            if key == "values" and isinstance(value, (list, tuple)):
+                p[key] = [finite_number(v, f"{key}[{k}]") for k, v in enumerate(value)]
+            else:
+                p[key] = finite_number(value, key)
         if self.family == "exponential":
             mean = p.get("mean")
             if mean is None or mean <= 0:
                 raise ValueError(f"exponential LOS needs a positive mean, got {p}")
-            p = {"mean": float(mean)}
+            p = {"mean": mean}
         elif self.family == "lognormal":
             if "mean" in p and "cv" in p:
-                mean, cv = float(p["mean"]), float(p["cv"])
+                mean, cv = p["mean"], p["cv"]
                 if mean <= 0 or cv <= 0:
                     raise ValueError(f"lognormal mean/cv must be positive, got {p}")
                 sigma2 = math.log(1.0 + cv * cv)
                 p = {"mu": math.log(mean) - sigma2 / 2.0, "sigma": math.sqrt(sigma2)}
             elif "mu" in p and "sigma" in p:
-                if float(p["sigma"]) <= 0:
+                if p["sigma"] <= 0:
                     raise ValueError(f"lognormal sigma must be positive, got {p}")
-                p = {"mu": float(p["mu"]), "sigma": float(p["sigma"])}
+                p = {"mu": p["mu"], "sigma": p["sigma"]}
             else:
                 raise ValueError(f"lognormal LOS needs mean/cv or mu/sigma, got {p}")
         elif self.family == "gamma":
             if "mean" in p and "cv" in p:
-                mean, cv = float(p["mean"]), float(p["cv"])
+                mean, cv = p["mean"], p["cv"]
                 if mean <= 0 or cv <= 0:
                     raise ValueError(f"gamma mean/cv must be positive, got {p}")
                 p = {"shape": 1.0 / (cv * cv), "scale": mean * cv * cv}
             elif "shape" in p and "scale" in p:
-                if float(p["shape"]) <= 0 or float(p["scale"]) <= 0:
+                if p["shape"] <= 0 or p["scale"] <= 0:
                     raise ValueError(f"gamma shape/scale must be positive, got {p}")
-                p = {"shape": float(p["shape"]), "scale": float(p["scale"])}
+                p = {"shape": p["shape"], "scale": p["scale"]}
             else:
                 raise ValueError(f"gamma LOS needs mean/cv or shape/scale, got {p}")
         elif self.family == "weibull":
             if "shape" not in p or "scale" not in p:
                 raise ValueError(f"weibull LOS needs shape/scale, got {p}")
-            if float(p["shape"]) <= 0 or float(p["scale"]) <= 0:
+            if p["shape"] <= 0 or p["scale"] <= 0:
                 raise ValueError(f"weibull shape/scale must be positive, got {p}")
-            p = {"shape": float(p["shape"]), "scale": float(p["scale"])}
+            p = {"shape": p["shape"], "scale": p["scale"]}
         else:  # empirical
             values = p.get("values")
-            if not values:
+            if not isinstance(values, list) or not values:
                 raise ValueError("empirical LOS needs a non-empty list of values")
-            values = [float(v) for v in values]
             if any(v <= 0 for v in values):
                 raise ValueError("empirical LOS values must be positive")
             p = {"values": values}

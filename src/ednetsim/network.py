@@ -35,7 +35,8 @@ class PolicySpec:
     P2  redirect to the nearest ED when all origin resources are busy,
         if the nearest ED has a free resource
     P3  like P2 but only yellow patients are redirected, triggered at a
-        per-ED occupancy threshold (default: full occupancy)
+        per-ED occupancy threshold (p3_thresholds, read under P3 only;
+        default: full occupancy)
     P4  redirect to the least-occupied ED of the network, regardless of
         distance, when all origin resources are busy
     cascade: when the nearest ED is itself on diversion, try the next
@@ -123,16 +124,21 @@ class EDState:
         self._queues[patient.tag].append(patient)
         return False
 
+    def _start_next(self, clock):
+        """Start the first boarded red patient, else the first yellow; None if empty."""
+        for q in (self._queues[RED], self._queues[YELLOW]):
+            if q:
+                patient = q.popleft()
+                patient.t_service_start = clock
+                self.busy += 1
+                return patient
+        return None
+
     def release(self, clock):
         """Release one resource; start the highest-priority boarded patient, if any."""
         self.busy -= 1
         if self.busy < self.capacity:
-            for q in (self._queues[RED], self._queues[YELLOW]):
-                if q:
-                    patient = q.popleft()
-                    patient.t_service_start = clock
-                    self.busy += 1
-                    return patient
+            return self._start_next(clock)
         return None
 
     def set_capacity(self, new_capacity, clock):
@@ -140,14 +146,9 @@ class EDState:
         self.capacity = int(new_capacity)
         started = []
         while self.busy < self.capacity:
-            if self._queues[RED]:
-                patient = self._queues[RED].popleft()
-            elif self._queues[YELLOW]:
-                patient = self._queues[YELLOW].popleft()
-            else:
+            patient = self._start_next(clock)
+            if patient is None:
                 break
-            patient.t_service_start = clock
-            self.busy += 1
             started.append(patient)
         return started
 
@@ -188,17 +189,9 @@ def decide_routing(policy, eds, tau, order, tag, origin):
         return None
     origin_ed = eds[origin]
 
-    if policy.id == "P2":
-        if origin_ed.busy < origin_ed.capacity:
-            return None
-        candidates = order[origin] if policy.cascade else order[origin][:1]
-        for j in candidates:
-            if eds[j].busy < eds[j].capacity:
-                return j
-        return None
-
-    if policy.id == "P3":
-        if tag == RED:
+    if policy.id in ("P2", "P3"):
+        # nearest-ED rule; under P2 every threshold is full occupancy
+        if policy.id == "P3" and tag == RED:
             return None
         if origin_ed.busy < origin_ed.diversion_threshold():
             return None

@@ -8,7 +8,6 @@ resource plan.  Validation errors name the offending key path so a bad
 file can be fixed without reading this module.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -19,10 +18,11 @@ from .distributions import (
     SLOTS_PER_DAY,
     ArrivalProcess,
     LosDistribution,
+    finite_number,
     rate_from_annual_count,
 )
 from .engine import ReplicationSpec
-from .network import RED, YELLOW, PolicySpec, validate_transfer_matrix
+from .network import RED, TAG_NAMES, YELLOW, PolicySpec, validate_transfer_matrix
 from .objective import ObjectiveSpec
 
 
@@ -38,23 +38,39 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _numbers(value, count, path, minimum=None):
+def _known_keys(mapping, allowed, path, kind="key"):
+    """ScenarioError naming the first key of `mapping` outside `allowed`."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{path}: expected a mapping, got {type(mapping).__name__}")
+    for key in mapping:
+        if key not in allowed:
+            name = f"{path}.{key}" if path else key
+            raise ScenarioError(f"{name}: unknown {kind}; expected one of {', '.join(allowed)}")
+
+
+def _number(v, path, minimum=None):
+    """v as a float, or a ScenarioError naming path unless it is a finite number."""
+    try:
+        x = finite_number(v, path)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    if minimum is not None and x < minimum:
+        raise ScenarioError(f"{path}: value {v} below minimum {minimum}")
+    return x
+
+
+def _integer(v, path, minimum=None):
+    """v as an int, or a ScenarioError naming path unless it is a whole number."""
+    if not _number(v, path, minimum).is_integer():
+        raise ScenarioError(f"{path}: expected integers only, got {v!r}")
+    return int(v)
+
+
+def _numbers(value, count, path, minimum=None, read=_number):
+    """A list of `count` entries, each checked by `read` (_number or _integer)."""
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise ScenarioError(f"{path}: expected a list of {count} numbers")
-    out = []
-    for k, v in enumerate(value):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioError(f"{path}[{k}]: expected a number, got {v!r}")
-        try:
-            finite = math.isfinite(v)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ScenarioError(f"{path}[{k}]: expected a finite number, got {v!r}")
-        if minimum is not None and v < minimum:
-            raise ScenarioError(f"{path}[{k}]: value {v} below minimum {minimum}")
-        out.append(float(v))
-    return out
+    return [read(v, f"{path}[{k}]", minimum) for k, v in enumerate(value)]
 
 
 def _arrival_process(node, path):
@@ -98,6 +114,7 @@ def _los_slots(node, path):
 
 
 def _real_waits(node, path):
+    _known_keys(node, TAG_NAMES, path)
     waits = np.zeros((SLOTS_PER_DAY, 2))
     waits[:, YELLOW] = _numbers(
         _require(node, "yellow", path), SLOTS_PER_DAY, f"{path}.yellow", minimum=0.0
@@ -153,6 +170,12 @@ def scenario_from_dict(data, name="inline"):
     """Validate a parsed scenario mapping into a Scenario."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario: top level must be a mapping")
+    _known_keys(
+        data,
+        ("name", "eds", "transfer_minutes", "policy", "objective", "replication",
+         "plan_bounds", "starting_plan"),
+        "",
+    )
     name = str(data.get("name", name))
 
     eds = _require(data, "eds", "scenario")
@@ -162,16 +185,11 @@ def scenario_from_dict(data, name="inline"):
     ed_names, arrivals, los, real_rows = [], [], [], []
     for i, ed in enumerate(eds):
         path = f"eds[{i}]"
-        if not isinstance(ed, dict):
-            raise ScenarioError(f"{path}: expected a mapping")
+        _known_keys(ed, ("name", "arrivals", "los", "real_waits"), path)
         ed_names.append(str(ed.get("name", f"ED{i + 1}")))
 
         arr_node = ed.get("arrivals") or {}
-        if not isinstance(arr_node, dict):
-            raise ScenarioError(f"{path}.arrivals: expected a mapping")
-        for key in arr_node:
-            if key not in ("yellow", "red"):
-                raise ScenarioError(f"{path}.arrivals.{key}: unknown tag")
+        _known_keys(arr_node, TAG_NAMES, f"{path}.arrivals", kind="tag")
         arrivals.append(
             (
                 _arrival_process(arr_node.get("yellow"), f"{path}.arrivals.yellow"),
@@ -180,6 +198,7 @@ def scenario_from_dict(data, name="inline"):
         )
 
         los_node = _require(ed, "los", path)
+        _known_keys(los_node, TAG_NAMES, f"{path}.los", kind="tag")
         los.append(
             (
                 _los_slots(_require(los_node, "yellow", f"{path}.los"), f"{path}.los.yellow"),
@@ -215,23 +234,20 @@ def scenario_from_dict(data, name="inline"):
         pol_node = {"id": pol_node}
     if not isinstance(pol_node, dict) or "id" not in pol_node:
         raise ScenarioError("policy: expected a policy id or a mapping with 'id'")
+    _known_keys(pol_node, ("id", "p3_thresholds", "cascade"), "policy")
     thresholds = pol_node.get("p3_thresholds")
     if thresholds is not None:
-        thresholds = _numbers(thresholds, n, "policy.p3_thresholds", minimum=1)
-        for k, v in enumerate(thresholds):
-            if not v.is_integer():
-                raise ScenarioError(f"policy.p3_thresholds[{k}]: expected an integer, got {v}")
-        thresholds = [int(v) for v in thresholds]
+        thresholds = _numbers(thresholds, n, "policy.p3_thresholds", minimum=1, read=_integer)
+    cascade = pol_node.get("cascade", False)
+    if not isinstance(cascade, bool):
+        raise ScenarioError(f"policy.cascade: expected true or false, got {cascade!r}")
     try:
-        policy = PolicySpec(
-            id=str(pol_node["id"]),
-            p3_thresholds=thresholds,
-            cascade=bool(pol_node.get("cascade", False)),
-        )
+        policy = PolicySpec(id=str(pol_node["id"]), p3_thresholds=thresholds, cascade=cascade)
     except ValueError as exc:
         raise ScenarioError(f"policy.id: {exc}") from None
 
     obj_node = data.get("objective") or {}
+    _known_keys(obj_node, ("weights", "nva_limits"), "objective")
     try:
         objective_spec = ObjectiveSpec(
             weights=tuple(
@@ -249,6 +265,11 @@ def scenario_from_dict(data, name="inline"):
         raise ScenarioError(f"objective: {exc}") from None
 
     rep_node = data.get("replication") or {}
+    _known_keys(
+        rep_node,
+        ("horizon_minutes", "horizon_days", "warmup_minutes", "warmup_hours", "seed"),
+        "replication",
+    )
     if "horizon_minutes" in rep_node and "horizon_days" in rep_node:
         raise ScenarioError("replication: give horizon_minutes or horizon_days, not both")
     if "warmup_minutes" in rep_node and "warmup_hours" in rep_node:
@@ -256,26 +277,26 @@ def scenario_from_dict(data, name="inline"):
     defaults = ReplicationSpec()
     horizon = defaults.horizon
     if "horizon_minutes" in rep_node:
-        horizon = float(rep_node["horizon_minutes"])
+        horizon = _number(rep_node["horizon_minutes"], "replication.horizon_minutes", 0.0)
     elif "horizon_days" in rep_node:
-        horizon = float(rep_node["horizon_days"]) * 1440.0
+        horizon = _number(rep_node["horizon_days"], "replication.horizon_days", 0.0) * 1440.0
     warmup = defaults.warmup
     if "warmup_minutes" in rep_node:
-        warmup = float(rep_node["warmup_minutes"])
+        warmup = _number(rep_node["warmup_minutes"], "replication.warmup_minutes", 0.0)
     elif "warmup_hours" in rep_node:
-        warmup = float(rep_node["warmup_hours"]) * 60.0
+        warmup = _number(rep_node["warmup_hours"], "replication.warmup_hours", 0.0) * 60.0
+    seed = defaults.seed
+    if "seed" in rep_node:
+        seed = _integer(rep_node["seed"], "replication.seed", minimum=0)
     try:
-        replication = ReplicationSpec(
-            horizon=horizon, warmup=warmup, seed=int(rep_node.get("seed", defaults.seed))
-        )
+        replication = ReplicationSpec(horizon=horizon, warmup=warmup, seed=seed)
     except ValueError as exc:
         raise ScenarioError(f"replication: {exc}") from None
 
-    bounds_node = data.get("plan_bounds", [2, 10])
-    bounds = _numbers(bounds_node, 2, "plan_bounds", minimum=1)
-    if bounds != [int(b) for b in bounds] or bounds[0] > bounds[1]:
-        raise ScenarioError(f"plan_bounds: expected integer [low, high], got {bounds_node}")
-    plan_bounds = (int(bounds[0]), int(bounds[1]))
+    low, high = _numbers(data.get("plan_bounds", [2, 10]), 2, "plan_bounds", 1, _integer)
+    if low > high:
+        raise ScenarioError(f"plan_bounds: low {low} exceeds high {high}")
+    plan_bounds = (low, high)
 
     with_waits = [i for i, row in enumerate(real_rows) if row is not None]
     if with_waits and len(with_waits) != n:
@@ -290,14 +311,12 @@ def scenario_from_dict(data, name="inline"):
             raise ScenarioError(f"starting_plan: expected {n} rows of {SLOTS_PER_DAY} counts")
         plan = []
         for i, row in enumerate(rows):
-            values = _numbers(row, SLOTS_PER_DAY, f"starting_plan[{i}]", minimum=plan_bounds[0])
-            if any(v != int(v) for v in values):
-                raise ScenarioError(f"starting_plan[{i}]: counts must be integers")
-            if any(v > plan_bounds[1] for v in values):
+            values = _numbers(row, SLOTS_PER_DAY, f"starting_plan[{i}]", plan_bounds[0], _integer)
+            if max(values) > plan_bounds[1]:
                 raise ScenarioError(
                     f"starting_plan[{i}]: count above plan_bounds max {plan_bounds[1]}"
                 )
-            plan.append([int(v) for v in values])
+            plan.append(values)
         starting_plan = np.array(plan, dtype=int)
 
     return Scenario(

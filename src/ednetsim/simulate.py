@@ -53,16 +53,9 @@ class ReplicationOutput:
     in_system: int
     patients: list | None = None
 
-    def nva_values(self, ed, tag):
-        """All NVA samples for one (ED, tag) pair, slots pooled."""
-        out = []
-        for slot_values in self.nva[ed][tag]:
-            out.extend(slot_values)
-        return out
-
     def mean_nva(self, ed, tag):
-        """Mean NVA in minutes for one (ED, tag); 0.0 when nobody was served."""
-        values = self.nva_values(ed, tag)
+        """Mean NVA in minutes for one (ED, tag), slots pooled; 0.0 when nobody was served."""
+        values = [v for slot_values in self.nva[ed][tag] for v in slot_values]
         return sum(values) / len(values) if values else 0.0
 
     def slot_tag_waits(self, ed):
@@ -125,10 +118,9 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
         raise ValueError(
             f"policy thresholds must list one value per ED ({n}), got {len(thresholds)}"
         )
-    eds = [
-        EDState(i, plan[i][0], None if thresholds is None else thresholds[i])
-        for i in range(n)
-    ]
+    if thresholds is None or policy.id != "P3":
+        thresholds = [None] * n
+    eds = [EDState(i, plan[i][0], thresholds[i]) for i in range(n)]
 
     streams = RandomStreams(spec.seed)
     los_rngs = [streams.get(i, "los") for i in range(n)]

@@ -18,6 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+EPS0 = 1.0          # initial penalty parameter
+EPS_FACTOR = 0.1    # eps multiplier when the steps bottom out
+INITIAL_STEP = 2    # starting step size of every coordinate
+XI_REL = 1e-6       # sufficient decrease, relative to 1 + |merit|
+
 
 class BudgetExhausted(Exception):
     """Raised internally when a new evaluation would exceed the budget."""
@@ -80,8 +85,6 @@ class SolverState:
     eps: float
     steps: np.ndarray                  # per-coordinate positive integer steps
     incumbent: tuple = None            # point as an int tuple
-    incumbent_f: float = np.inf
-    incumbent_g: tuple = ()
     incumbent_merit: float = np.inf
     evaluations: int = 0
     cache: dict = field(default_factory=dict)
@@ -96,11 +99,8 @@ class SolverState:
         self.set_incumbent(best)
 
     def set_incumbent(self, point):
-        f, g = self.cache[point]
         self.incumbent = point
-        self.incumbent_f = f
-        self.incumbent_g = g
-        self.incumbent_merit = merit(f, g, self.eps)
+        self.incumbent_merit = self.merit_of(point)
 
 
 def _evaluate(problem, state, point):
@@ -124,11 +124,11 @@ def _evaluate(problem, state, point):
     return f, g, m
 
 
-def discrete_linesearch(x, d, step, problem, state, xi_rel=1e-6):
+def discrete_linesearch(x, d, step, problem, state):
     """Probe x + step*d (clipped); expand the step by doubling on success.
 
     d is a signed unit coordinate direction.  A probe succeeds when its
-    merit beats the current one by at least xi = xi_rel*(1 + |merit|).
+    merit beats the current one by at least xi = XI_REL*(1 + |merit|).
     Returns (x', step'): the point reached (x unchanged on failure) and
     the last successful step (step unchanged on failure).
     """
@@ -143,7 +143,7 @@ def discrete_linesearch(x, d, step, problem, state, xi_rel=1e-6):
         if np.array_equal(trial, best):
             break
         _, _, m = _evaluate(problem, state, trial)
-        xi = xi_rel * (1.0 + abs(best_merit))
+        xi = XI_REL * (1.0 + abs(best_merit))
         if m <= best_merit - xi:
             best = trial
             best_merit = m
@@ -173,20 +173,20 @@ class SolveResult:
         return float(np.sum(self.g))
 
 
-def solve(problem, eps0=1.0, eps_factor=0.1, initial_step=2, xi_rel=1e-6, callback=None):
+def solve(problem, callback=None):
     """Run penalty-tightening coordinate sweeps over the problem's box.
 
     Sweeps visit coordinates in ascending index order, trying the +
     direction before -.  A sweep without any successful line search
     halves every step size (minimum 1); once all steps are 1, a failed
-    sweep tightens the penalty (eps *= eps_factor) instead, and the
+    sweep tightens the penalty (eps *= EPS_FACTOR) instead, and the
     search stops when that tightening no longer moves the incumbent.
     The evaluation budget caps black-box calls; the initial evaluation
     of the start point always runs.
     """
     state = SolverState(
-        eps=float(eps0),
-        steps=np.full(problem.dimension, int(initial_step), dtype=int),
+        eps=EPS0,
+        steps=np.full(problem.dimension, INITIAL_STEP, dtype=int),
     )
     sweeps = 0
     converged = False
@@ -201,12 +201,7 @@ def solve(problem, eps0=1.0, eps_factor=0.1, initial_step=2, xi_rel=1e-6, callba
                     direction[coord] = sign
                     x_before = np.asarray(state.incumbent, dtype=int)
                     x_new, step_new = discrete_linesearch(
-                        x_before,
-                        direction,
-                        state.steps[coord],
-                        problem,
-                        state,
-                        xi_rel=xi_rel,
+                        x_before, direction, state.steps[coord], problem, state
                     )
                     if not np.array_equal(x_new, x_before):
                         state.steps[coord] = step_new
@@ -217,7 +212,7 @@ def solve(problem, eps0=1.0, eps_factor=0.1, initial_step=2, xi_rel=1e-6, callba
             if not any_success:
                 if np.all(state.steps == 1):
                     previous = state.incumbent
-                    state.eps *= eps_factor
+                    state.eps *= EPS_FACTOR
                     state.rescore_incumbent()
                     if state.incumbent == previous:
                         converged = True

@@ -291,6 +291,30 @@ def test_non_finite_scenario_number_fails(tmp_path, capsys):
     assert "plan_bounds[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, path",
+    [
+        ("seed: 19", "seed: .inf", "replication.seed"),
+        ("horizon_days: 5", "horizon_days: abc", "replication.horizon_days"),
+        ("horizon_days: 5", "horizon_days: .inf", "replication.horizon_days"),
+        ("horizon_days: 5", "horizon_day: 5", "replication.horizon_day"),
+        ("plan_bounds: [1, 6]", "plan_bound: [1, 6]", "plan_bound"),
+        ("policy: P2", "polcy: P4", "polcy"),
+        ("policy: P2", "policy: {id: P2, cascade: 'no'}", "policy.cascade"),
+        ("mean: 60}", "mean: abc}", "eds[0].los.yellow"),
+        ("mean: 60}", "mean: .inf}", "eds[0].los.yellow"),
+        ("exponential, mean: 60}", "lognormal, mean: 60, cv: .nan}", "eds[0].los.yellow"),
+    ],
+)
+def test_bad_scenario_value_fails_with_key_path(tmp_path, capsys, old, new, path):
+    path_file = tmp_path / "bad.yaml"
+    path_file.write_text(SCENARIO.replace(old, new, 1))
+    code = main(["simulate", "--scenario", str(path_file), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}")
+
+
 def test_optimize_csv_byte_deterministic(scenario_file, tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -164,6 +164,23 @@ def test_los_validation_errors():
         LosDistribution("empirical", {"values": []})
     with pytest.raises(ValueError):
         LosDistribution("empirical", {"values": [3.0, -1.0]})
+    # non-numeric, boolean and non-finite parameters
+    with pytest.raises(ValueError, match="expected a number"):
+        LosDistribution("exponential", {"mean": "abc"})
+    with pytest.raises(ValueError, match="expected a number"):
+        LosDistribution("exponential", {"mean": True})
+    with pytest.raises(ValueError, match="expected a finite number"):
+        LosDistribution("exponential", {"mean": math.inf})
+    with pytest.raises(ValueError, match="expected a finite number"):
+        LosDistribution("lognormal", {"mean": 30.0, "cv": math.nan})
+    with pytest.raises(ValueError, match="expected a finite number"):
+        LosDistribution("gamma", {"shape": 2.0, "scale": 10**400})
+    with pytest.raises(ValueError, match="expected a finite number"):
+        LosDistribution("empirical", {"values": [1, math.inf]})
+    with pytest.raises(ValueError, match="expected a number"):
+        LosDistribution("empirical", {"values": [1, None]})
+    with pytest.raises(ValueError, match="non-empty list"):
+        LosDistribution("empirical", {"values": 5})
 
 
 def test_t_critical_values():

@@ -129,6 +129,9 @@ def test_policy_parsing():
     data["policy"] = {"id": "P3", "p3_thresholds": [2, 2.5]}
     with pytest.raises(ScenarioError, match=r"policy\.p3_thresholds\[1\]"):
         scenario_from_dict(data)
+    data["policy"] = {"id": "P2", "cascade": "no"}
+    with pytest.raises(ScenarioError, match=r"policy\.cascade: expected true or false"):
+        scenario_from_dict(data)
 
 
 def test_objective_and_replication_blocks():
@@ -209,6 +212,60 @@ def test_non_finite_numbers_name_key_path(key, value, path):
     data = {"eds": [minimal_ed()], key: value}
     with pytest.raises(ScenarioError, match=path + ": expected a finite number"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "block, path",
+    [
+        ({"seed": float("inf")}, r"replication\.seed: expected a finite number"),
+        ({"seed": 2.5}, r"replication\.seed: expected integers only"),
+        ({"seed": "7"}, r"replication\.seed: expected a number"),
+        ({"seed": -5}, r"replication\.seed: value -5 below minimum 0"),
+        ({"horizon_days": "abc"}, r"replication\.horizon_days: expected a number"),
+        ({"horizon_days": float("inf")}, r"replication\.horizon_days: expected a finite number"),
+        ({"horizon_minutes": float("nan")}, r"replication\.horizon_minutes: expected a finite"),
+        ({"warmup_minutes": -5}, r"replication\.warmup_minutes: value -5 below minimum"),
+        ({"warmup_hours": True}, r"replication\.warmup_hours: expected a number"),
+    ],
+)
+def test_replication_block_names_key_path(block, path):
+    data = {"eds": [minimal_ed()], "replication": block}
+    with pytest.raises(ScenarioError, match=path):
+        scenario_from_dict(data)
+
+
+def _with_key(data, where, key):
+    node = data
+    for step in where:
+        node = node[step]
+    node[key] = 1
+    return data
+
+
+@pytest.mark.parametrize(
+    "where, key, path",
+    [
+        ((), "plan_bound", r"^plan_bound: unknown key"),
+        (("eds", 0), "arivals", r"^eds\[0\]\.arivals: unknown key"),
+        (("eds", 0, "los"), "green", r"^eds\[0\]\.los\.green: unknown tag"),
+        (("eds", 0, "real_waits"), "yelow", r"^eds\[0\]\.real_waits\.yelow: unknown key"),
+        (("policy",), "cascde", r"^policy\.cascde: unknown key"),
+        (("objective",), "weight", r"^objective\.weight: unknown key"),
+        (("replication",), "horizon_day", r"^replication\.horizon_day: unknown key"),
+    ],
+)
+def test_unknown_keys_rejected(where, key, path):
+    ed = minimal_ed()
+    ed["real_waits"] = {"yellow": [1, 2, 3], "red": [1, 1, 1]}
+    data = {
+        "eds": [ed],
+        "policy": {"id": "P1"},
+        "objective": {"weights": [1, 300, 600]},
+        "replication": {"horizon_days": 10},
+    }
+    assert scenario_from_dict(data).replication.horizon == 10 * 1440.0
+    with pytest.raises(ScenarioError, match=path):
+        scenario_from_dict(_with_key(data, where, key))
 
 
 def test_isolate():

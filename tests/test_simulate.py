@@ -1,5 +1,7 @@
 """Replication-driver tests: conservation, warm-up, determinism, policies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,39 @@ def test_entry_slot_attribution():
     assert sum(len(v) for v in out.nva[0][YELLOW]) > 0
     assert len(out.nva[0][YELLOW][1]) == 0
     assert len(out.nva[0][YELLOW][2]) == 0
+
+
+# sha256 of saa_evaluate's (rep_means, redirects) under P2 and P3; any change
+# to either policy's routing moves them.
+PINNED_P2_P3 = {
+    "P2 thresholds": "41968f01fc7d4ca9c4fe9abd54edb434c4f38599ca8b18946374f85c92241db7",
+    "P2 cascade": "5cdb74fb3800e0de3f79d4fc9639051c0733935f899efb18c0d880efd1801e33",
+    "P3": "d032688fd9c86ef26bae62a988722c88d40cf3e1c5470b24b2dcb71dbac41a93",
+    "P3 cascade": "16b339bda7c2c7f69c0093c17a77e0fd402cd469e58c5ab419e6d01bf5197ddc",
+}
+
+
+def _digest(summary):
+    return hashlib.sha256(summary.rep_means.tobytes() + summary.redirects.tobytes()).hexdigest()
+
+
+def test_p2_p3_outputs_pinned():
+    cases = {
+        "P2 thresholds": {"id": "P2", "p3_thresholds": [2, 3, 2]},
+        "P2 cascade": {"id": "P2", "cascade": True},
+        "P3": {"id": "P3", "p3_thresholds": [2, 3, 2]},
+        "P3 cascade": {"id": "P3", "p3_thresholds": [2, 3, 2], "cascade": True},
+    }
+    plan = np.array([[3, 4, 3], [4, 4, 5], [3, 3, 4]])
+    base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=31)
+    got = {}
+    for name, policy in cases.items():
+        sc = network_scenario(n=3, rates_yellow=(0.05, 0.07, 0.04), policy=policy)
+        s = saa_evaluate(sc, plan, sc.policy, replications=3, base_spec=base)
+        assert s.redirects.sum() > 0
+        got[name] = _digest(s)
+    # P2 ignores p3_thresholds: same outputs as without them
+    sc = network_scenario(n=3, rates_yellow=(0.05, 0.07, 0.04), policy="P2")
+    plain = saa_evaluate(sc, plan, "P2", replications=3, base_spec=base)
+    assert _digest(plain) == got["P2 thresholds"]
+    assert got == PINNED_P2_P3
