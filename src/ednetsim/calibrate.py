@@ -13,10 +13,7 @@ from itertools import product
 import numpy as np
 
 from .distributions import SLOTS_PER_DAY
-from .engine import ReplicationSpec
 from .simulate import replicate
-
-DEFAULT_BOUNDS = (2, 10)
 
 
 def l1_error(sim, real):
@@ -31,22 +28,23 @@ def l1_error(sim, real):
     return float(np.abs(sim - real).sum())
 
 
-def simulated_waits(scenario, capacities, replications, base_spec):
+def simulated_waits(scenario, capacities, replications):
     """Replication-averaged 3x2 (slot, tag) mean waits of a single-ED scenario."""
     if scenario.n_eds != 1:
         raise ValueError("simulated_waits expects a single-ED scenario")
     plan = np.array([capacities])
     total = np.zeros((SLOTS_PER_DAY, 2))
-    for out in replicate(scenario, plan, "P1", replications, base_spec):
+    for out in replicate(scenario, plan, "P1", replications):
         total += out.slot_tag_waits(0)
     return total / replications
 
 
-def calibrate_ed(scenario, real, bounds=DEFAULT_BOUNDS, replications=30, base_spec=None):
+def calibrate_ed(scenario, real, bounds=None, replications=30):
     """Exhaustively fit one ED's three slot capacities to its real waits.
 
     scenario: a single-ED scenario (see Scenario.isolate).
     real: 3x2 (slot, tag) observed mean waits in minutes.
+    bounds: capacity range (low, high) within plan_bounds, default plan_bounds.
     Returns (capacities, error): the best triple and its L1 error.
     """
     if scenario.n_eds != 1:
@@ -58,15 +56,17 @@ def calibrate_ed(scenario, real, bounds=DEFAULT_BOUNDS, replications=30, base_sp
         raise ValueError(f"real wait table must be {SLOTS_PER_DAY}x2, got {real.shape}")
     if (real < 0).any():
         raise ValueError("real waits must be non-negative")
-    if base_spec is None:
-        base_spec = ReplicationSpec()
-    lo, hi = int(bounds[0]), int(bounds[1])
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad capacity bounds [{lo}, {hi}]")
+    plan_lo, plan_hi = scenario.plan_bounds
+    lo, hi = scenario.plan_bounds if bounds is None else (int(bounds[0]), int(bounds[1]))
+    if not plan_lo <= lo <= hi <= plan_hi:
+        raise ValueError(
+            f"capacity bounds [{lo}, {hi}] must be a range within "
+            f"plan_bounds [{plan_lo}, {plan_hi}]"
+        )
 
     best = None
     for triple in product(range(lo, hi + 1), repeat=SLOTS_PER_DAY):
-        waits = simulated_waits(scenario, triple, replications, base_spec)
+        waits = simulated_waits(scenario, triple, replications)
         err = l1_error(waits, real)
         key = (err, sum(triple), triple)
         if best is None or key < best:
@@ -74,7 +74,7 @@ def calibrate_ed(scenario, real, bounds=DEFAULT_BOUNDS, replications=30, base_sp
     return best[2], best[0]
 
 
-def calibrate_network(scenario, bounds=DEFAULT_BOUNDS, replications=30, base_spec=None):
+def calibrate_network(scenario, bounds=None, replications=30):
     """Calibrate every ED of a scenario independently.
 
     Requires scenario.real_waits.  Returns (plan, errors): an (n_eds, 3)
@@ -92,7 +92,6 @@ def calibrate_network(scenario, bounds=DEFAULT_BOUNDS, replications=30, base_spe
             scenario.real_waits[i],
             bounds=bounds,
             replications=replications,
-            base_spec=base_spec,
         )
         plan[i] = triple
         errors[i] = err

@@ -1,21 +1,21 @@
 """Command-line interface: simulate, calibrate, optimize, report.
 
-Every command reads one scenario file, honours a single --seed flag (all
-replication seeds derive from it) and writes CSV tables plus a plain
-text run log into --out.  Reruns with identical inputs and seed produce
-byte-identical CSV files.
+Every command reads one scenario file, honours a single --seed flag that
+replaces the scenario's replication.seed (all replication seeds derive
+from it) and writes CSV tables plus a plain text run log into --out.
+Reruns with identical inputs and seed produce byte-identical CSV files.
 """
 
 import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from .calibrate import DEFAULT_BOUNDS, calibrate_network
-from .engine import ReplicationSpec
-from .network import POLICY_IDS, PolicySpec, TAG_NAMES
+from .calibrate import calibrate_network
+from .network import POLICY_IDS, TAG_NAMES
 from .objective import make_allocation_problem, saa_evaluate
 from .reporting import (
     fmt_minutes,
@@ -29,27 +29,22 @@ from .reporting import (
     write_summary_objectives_csv,
     write_summary_plans_csv,
 )
-from .scenario import ScenarioError, parse_scenario
+from .scenario import ScenarioError, _integer, parse_scenario
 from .solver import BoxedIntegerProblem, solve
 
 
-def _base_spec(scenario, seed):
-    rep = scenario.replication
-    return ReplicationSpec(
-        horizon=rep.horizon,
-        warmup=rep.warmup,
-        seed=rep.seed if seed is None else int(seed),
-    )
+def _seeded(scenario, seed):
+    """The scenario with --seed, if given, as replication.seed, checked like that key."""
+    if seed is None:
+        return scenario
+    seed = _integer(seed, "--seed", minimum=0)
+    return replace(scenario, replication=replace(scenario.replication, seed=seed))
 
 
 def _policy(scenario, policy_id):
     if policy_id is None:
         return scenario.policy
-    return PolicySpec(
-        id=policy_id,
-        p3_thresholds=scenario.policy.p3_thresholds,
-        cascade=scenario.policy.cascade,
-    )
+    return replace(scenario.policy, id=policy_id)
 
 
 def _starting_plan(scenario, out_dir):
@@ -72,18 +67,11 @@ def _starting_plan(scenario, out_dir):
 def cmd_simulate(scenario, plan=None, policy=None, replications=30, seed=None, out_dir="out"):
     """Estimate NVA times of one plan; writes nva.csv and diversions.csv."""
     t0 = time.perf_counter()
-    base = _base_spec(scenario, seed)
+    scenario = _seeded(scenario, seed)
     pol = _policy(scenario, policy)
     if plan is None:
         plan = _starting_plan(scenario, out_dir)
-    summary = saa_evaluate(
-        scenario,
-        plan,
-        pol,
-        replications=replications,
-        base_spec=base,
-        objective_spec=scenario.objective_spec,
-    )
+    summary = saa_evaluate(scenario, plan, pol, replications=replications)
     write_nva_csv(os.path.join(out_dir, "nva.csv"), scenario.ed_names, summary)
     write_diversions_csv(os.path.join(out_dir, "diversions.csv"), scenario.ed_names, summary)
     write_run_log(
@@ -92,7 +80,7 @@ def cmd_simulate(scenario, plan=None, policy=None, replications=30, seed=None, o
             "command: simulate",
             f"scenario: {scenario.name}",
             f"policy: {pol.id}",
-            f"seed: {base.seed}",
+            f"seed: {scenario.replication.seed}",
             f"replications: {replications}",
             f"objective: {fmt_minutes(summary.objective)}",
             f"total_violation: {fmt_minutes(summary.total_violation)}",
@@ -102,20 +90,18 @@ def cmd_simulate(scenario, plan=None, policy=None, replications=30, seed=None, o
     return summary
 
 
-def cmd_calibrate(scenario, replications=30, seed=None, out_dir="out", bounds=DEFAULT_BOUNDS):
+def cmd_calibrate(scenario, replications=30, seed=None, out_dir="out", bounds=None):
     """Fit per-ED slot capacities to the scenario's real waits."""
     t0 = time.perf_counter()
-    base = _base_spec(scenario, seed)
-    plan, errors = calibrate_network(
-        scenario, bounds=bounds, replications=replications, base_spec=base
-    )
+    scenario = _seeded(scenario, seed)
+    plan, errors = calibrate_network(scenario, bounds=bounds, replications=replications)
     write_plan_csv(os.path.join(out_dir, "calibrated_plan.csv"), scenario.ed_names, plan)
     lines = [
         "command: calibrate",
         f"scenario: {scenario.name}",
-        f"seed: {base.seed}",
+        f"seed: {scenario.replication.seed}",
         f"replications: {replications}",
-        f"bounds: [{bounds[0]}, {bounds[1]}]",
+        f"bounds: {list(bounds or scenario.plan_bounds)}",
     ]
     lines += [
         f"l1_error[{name}]: {fmt_minutes(err)}"
@@ -129,17 +115,11 @@ def cmd_calibrate(scenario, replications=30, seed=None, out_dir="out", bounds=DE
 def cmd_optimize(scenario, policy=None, budget=700, replications=30, seed=None, out_dir="out"):
     """Search resource plans minimizing the penalized NVA cost for one policy."""
     t0 = time.perf_counter()
-    base = _base_spec(scenario, seed)
+    scenario = _seeded(scenario, seed)
     pol = _policy(scenario, policy)
     start = _starting_plan(scenario, out_dir)
     lo, hi = scenario.plan_bounds
-    evaluate, n_vars = make_allocation_problem(
-        scenario,
-        pol,
-        replications=replications,
-        base_spec=base,
-        objective_spec=scenario.objective_spec,
-    )
+    evaluate, n_vars = make_allocation_problem(scenario, pol, replications=replications)
     problem = BoxedIntegerProblem(
         dimension=n_vars,
         lower=lo,
@@ -176,7 +156,7 @@ def cmd_optimize(scenario, policy=None, budget=700, replications=30, seed=None, 
             "command: optimize",
             f"scenario: {scenario.name}",
             f"policy: {pol.id}",
-            f"seed: {base.seed}",
+            f"seed: {scenario.replication.seed}",
             f"replications: {replications}",
             f"budget: {budget}",
             f"evaluations: {result.evaluations}",
@@ -254,9 +234,9 @@ def _build_parser():
         "--bounds",
         type=int,
         nargs=2,
-        default=list(DEFAULT_BOUNDS),
+        default=None,
         metavar=("LO", "HI"),
-        help="capacity search range",
+        help="capacity search range (default: the scenario's plan_bounds)",
     )
 
     p = sub.add_parser("optimize", help="minimize the penalized NVA cost")
@@ -294,7 +274,7 @@ def main(argv=None):
                 replications=args.replications,
                 seed=args.seed,
                 out_dir=args.out,
-                bounds=tuple(args.bounds),
+                bounds=args.bounds,
             )
             for name, row in zip(scenario.ed_names, plan):
                 print(f"{name}: {tuple(int(v) for v in row)}")

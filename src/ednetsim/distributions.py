@@ -32,8 +32,8 @@ class ArrivalProcess:
     """Day-periodic piecewise-constant-rate Poisson arrivals for one (ED, tag).
 
     `slot_rates` holds one per-minute rate per 8-hour slot.  If every
-    rate is zero the process never produces an arrival and the sampling
-    methods return None / an empty array.
+    rate is zero the process never produces an arrival and arrival_times
+    returns an empty array.
     """
 
     def __init__(self, slot_rates):
@@ -67,34 +67,15 @@ class ArrivalProcess:
         rates = np.asarray(self.slot_rates)[slot]
         return days * DAY_MINUTES + slot * SLOT_MINUTES + (rem - before) / rates
 
-    def sample_interarrival(self, clock, rng):
-        """Gap from `clock` to the next arrival, or None if all rates are zero.
-
-        Draws E ~ Exp(1) and consumes intensity across slot boundaries
-        until E is exhausted.
-        """
-        if self.day_intensity == 0.0:
-            return None
-        e = rng.exponential()
-        t = clock
-        while True:
-            slot = int(t // SLOT_MINUTES) % SLOTS_PER_DAY
-            slot_end = (math.floor(t / SLOT_MINUTES) + 1) * SLOT_MINUTES
-            lam = self.slot_rates[slot]
-            if lam > 0.0:
-                capacity = lam * (slot_end - t)
-                if e <= capacity:
-                    return t + e / lam - clock
-                e -= capacity
-            t = slot_end
-
     def arrival_times(self, horizon, rng):
         """All arrival times in [0, horizon), strictly increasing.
 
-        Equivalent to chaining `sample_interarrival`: the k-th arrival is
-        the inverse cumulative intensity at the k-th partial sum of Exp(1)
-        draws.  Both paths consume the random stream identically and
-        agree up to floating-point rounding.
+        The k-th arrival is the inverse cumulative intensity at the k-th
+        partial sum of Exp(1) draws.  This equals drawing one Exp(1) gap
+        at a time and spending it across slot boundaries: both consume the
+        random stream identically and agree up to floating-point rounding
+        (tests/test_distributions.py keeps that sequential sampler as the
+        reference).
         """
         if self.day_intensity == 0.0 or horizon <= 0.0:
             return np.empty(0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, MeanCI, summarize
-from .engine import ReplicationSpec
 from .network import RED, YELLOW, PolicySpec
 from .simulate import check_plan, replicate
 
@@ -37,10 +36,8 @@ class ObjectiveSpec:
             raise ValueError("expected NVA limits for (yellow, red)")
 
 
-def objective_value(plan, mean_nva, spec=None):
+def objective_value(plan, mean_nva, spec):
     """Weighted cost of a plan given per-(ED, tag) mean NVA minutes."""
-    if spec is None:
-        spec = ObjectiveSpec()
     mean_nva = np.asarray(mean_nva, dtype=float)
     w_res, w_yellow, w_red = spec.weights
     return (
@@ -50,10 +47,8 @@ def objective_value(plan, mean_nva, spec=None):
     )
 
 
-def constraint_violations(mean_nva, spec=None):
+def constraint_violations(mean_nva, spec):
     """Per-(ED, tag) excess of mean NVA over its cap; zero when satisfied."""
-    if spec is None:
-        spec = ObjectiveSpec()
     mean_nva = np.asarray(mean_nva, dtype=float)
     limits = np.array([spec.nva_limits[0], spec.nva_limits[1]], dtype=float)
     return np.maximum(0.0, mean_nva - limits)
@@ -84,33 +79,22 @@ class SimSummary:
         )
 
 
-def saa_evaluate(
-    scenario,
-    plan,
-    policy,
-    replications=30,
-    base_spec=None,
-    objective_spec=None,
-    ed_memo=None,
-):
+def saa_evaluate(scenario, plan, policy, replications=30, ed_memo=None):
     """Estimate cost and constraints of a plan by averaging replications.
 
-    The replications come from `replicate`, so two plans evaluated with
-    the same base share every random stream.
+    The replications come from `replicate`, so two plans evaluated on the
+    same scenario share every random stream.  Cost weights and NVA caps
+    are scenario.objective_spec.
 
     ed_memo: P1 only.  A dict from (ED index, plan row) to that ED's
         per-replication mean NVA, shape (replications, 2), shared by the
-        evaluations of one scenario, replication count and base_spec.
-        Under P1 an ED's estimate depends on its own row alone, so rows
-        missing from the memo are simulated one ED at a time and added,
-        and the others are not simulated again.
+        evaluations of one scenario and replication count.  Under P1 an
+        ED's estimate depends on its own row alone, so rows missing from
+        the memo are simulated one ED at a time and added, and the others
+        are not simulated again.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if base_spec is None:
-        base_spec = ReplicationSpec()
-    if objective_spec is None:
-        objective_spec = ObjectiveSpec()
     policy = PolicySpec.coerce(policy)
     if ed_memo is not None and policy.id != "P1":
         raise ValueError(f"per-ED memoization needs policy P1, got {policy.id}")
@@ -120,7 +104,7 @@ def saa_evaluate(
     rep_means = np.zeros((replications, n, 2))
     redirects = np.zeros((replications, n))
     if ed_memo is None:
-        for k, out in enumerate(replicate(scenario, plan, policy, replications, base_spec)):
+        for k, out in enumerate(replicate(scenario, plan, policy, replications)):
             for i in range(n):
                 rep_means[k, i, YELLOW] = out.mean_nva(i, YELLOW)
                 rep_means[k, i, RED] = out.mean_nva(i, RED)
@@ -129,7 +113,7 @@ def saa_evaluate(
         for i in range(n):
             key = (i, tuple(plan[i].tolist()))
             if key not in ed_memo:
-                ed_memo[key] = _solo_rep_means(scenario, plan, policy, replications, base_spec, i)
+                ed_memo[key] = _solo_rep_means(scenario, plan, policy, replications, i)
             rep_means[:, i, :] = ed_memo[key]
         # nobody is redirected under P1, so redirects stay 0
 
@@ -146,13 +130,13 @@ def saa_evaluate(
         rep_means=rep_means,
         mean_nva=mean_nva,
         half_width=half_width,
-        objective=objective_value(plan, mean_nva, objective_spec),
-        violations=constraint_violations(mean_nva, objective_spec),
+        objective=objective_value(plan, mean_nva, scenario.objective_spec),
+        violations=constraint_violations(mean_nva, scenario.objective_spec),
         redirects=redirects.mean(axis=0),
     )
 
 
-def _solo_rep_means(scenario, plan, policy, replications, base_spec, ed):
+def _solo_rep_means(scenario, plan, policy, replications, ed):
     """Per-replication mean NVA of one ED with every other ED's arrivals removed.
 
     Streams stay keyed by the ED's own index, so under P1 the result is
@@ -166,18 +150,12 @@ def _solo_rep_means(scenario, plan, policy, replications, base_spec, ed):
     return np.array(
         [
             (out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED))
-            for out in replicate(solo, plan, policy, replications, base_spec)
+            for out in replicate(solo, plan, policy, replications)
         ]
     )
 
 
-def make_allocation_problem(
-    scenario,
-    policy,
-    replications=30,
-    base_spec=None,
-    objective_spec=None,
-):
+def make_allocation_problem(scenario, policy, replications=30):
     """Adapt the SAA estimate to the integer solver's calling convention.
 
     Returns (evaluate, n_vars) where evaluate maps a flat integer vector
@@ -193,13 +171,7 @@ def make_allocation_problem(
     def evaluate(x):
         plan = np.reshape(x, (n, SLOTS_PER_DAY))
         summary = saa_evaluate(
-            scenario,
-            plan,
-            policy,
-            replications=replications,
-            base_spec=base_spec,
-            objective_spec=objective_spec,
-            ed_memo=ed_memo,
+            scenario, plan, policy, replications=replications, ed_memo=ed_memo
         )
         summaries[tuple(x)] = summary
         return summary.objective, summary.violations.reshape(-1)

@@ -9,7 +9,7 @@ file can be fixed without reading this module.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -137,7 +137,7 @@ class Scenario:
     policy: PolicySpec
     objective_spec: ObjectiveSpec
     replication: ReplicationSpec
-    plan_bounds: tuple = (2, 10)
+    plan_bounds: tuple
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
 
@@ -146,19 +146,20 @@ class Scenario:
         return len(self.ed_names)
 
     def isolate(self, ed):
-        """A single-ED copy of this scenario, decoupled from the network."""
+        """A single-ED copy of this scenario, decoupled from the network.
+
+        The copy keeps the objective, replication block and plan_bounds.
+        """
         if not 0 <= ed < self.n_eds:
             raise ValueError(f"ED index {ed} out of range [0, {self.n_eds})")
-        return Scenario(
+        return replace(
+            self,
             name=f"{self.name}:{self.ed_names[ed]}",
             ed_names=[self.ed_names[ed]],
             arrivals=[self.arrivals[ed]],
             los=[self.los[ed]],
             transfer=np.zeros((1, 1)),
             policy=PolicySpec("P1"),
-            objective_spec=self.objective_spec,
-            replication=self.replication,
-            plan_bounds=self.plan_bounds,
             real_waits=None if self.real_waits is None else self.real_waits[ed : ed + 1],
             starting_plan=None
             if self.starting_plan is None
@@ -213,21 +214,17 @@ def scenario_from_dict(data, name="inline"):
         )
 
     n = len(eds)
-    if n == 1:
-        transfer = np.zeros((1, 1))
-        if "transfer_minutes" in data:
-            transfer = np.asarray(data["transfer_minutes"], dtype=float)
+    if n == 1 and "transfer_minutes" not in data:
+        rows = [[0.0]]
     else:
-        transfer = np.asarray(_require(data, "transfer_minutes", "scenario"), dtype=float)
+        rows = _require(data, "transfer_minutes", "scenario")
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ScenarioError(f"transfer_minutes: expected {n} rows of {n} minutes, one per ED")
+    transfer = [_numbers(row, n, f"transfer_minutes[{i}]") for i, row in enumerate(rows)]
     try:
         transfer = validate_transfer_matrix(transfer)
     except ValueError as exc:
         raise ScenarioError(f"transfer_minutes: {exc}") from None
-    if transfer.shape[0] != n:
-        raise ScenarioError(
-            f"transfer_minutes: matrix is {transfer.shape[0]}x{transfer.shape[1]} "
-            f"but the scenario has {n} EDs"
-        )
 
     pol_node = data.get("policy") or {"id": "P1"}
     if isinstance(pol_node, str):

@@ -1,8 +1,8 @@
 """Discrete-event driver for one replication of the ED network.
 
-A replication runs the network for a fixed horizon (default one year)
-under a given resource plan and diversion policy.  Statistics collected
-during the warm-up transient are discarded; a patient contributes their
+A replication runs the network for the scenario's horizon under a given
+resource plan and diversion policy.  Statistics collected during the
+warm-up transient are discarded; a patient contributes their
 non-value-added time to the ED that eventually serves them, in the slot
 during which they entered that ED.
 """
@@ -19,7 +19,6 @@ from .engine import (
     TRANSFER_COMPLETE,
     EventCalendar,
     RandomStreams,
-    ReplicationSpec,
     SimulationLogicError,
 )
 from .distributions import SLOT_MINUTES, SLOTS_PER_DAY
@@ -99,13 +98,13 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
         transfer matrix).
     plan: integer array, one row per ED, one column per daily slot.
     policy: PolicySpec or policy id string.
-    spec: ReplicationSpec (horizon, warm-up, seed); defaults are used
+    spec: ReplicationSpec (horizon, warm-up, seed); scenario.replication
         when omitted.
     record_patients: keep per-patient records of every completed visit
         (diagnostics; off by default to save memory).
     """
     if spec is None:
-        spec = ReplicationSpec()
+        spec = scenario.replication
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds)
@@ -237,14 +236,15 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
     )
 
 
-def replicate(scenario, plan, policy, replications, base_spec):
+def replicate(scenario, plan, policy, replications):
     """Yield the outputs of `replications` runs of one plan, in order.
 
-    The runs take the seeds following base_spec.seed, one each, so every
-    plan evaluated from the same base shares its random streams (common
-    random numbers).  This is the only place that maps a base seed to
-    replication seeds.
+    The runs take the seeds following scenario.replication.seed, one each,
+    so every plan evaluated on the same scenario shares its random streams
+    (common random numbers).  This is the only place that maps a base seed
+    to replication seeds.
     """
+    base = scenario.replication
     for k in range(replications):
-        spec = replace(base_spec, seed=base_spec.seed + k + 1)
+        spec = replace(base, seed=base.seed + k + 1)
         yield run_replication(scenario, plan, policy, spec)

@@ -18,6 +18,7 @@ import pytest
 from ednetsim import (
     ArrivalProcess,
     BoxedIntegerProblem,
+    ObjectiveSpec,
     PolicySpec,
     RandomStreams,
     ReplicationSpec,
@@ -35,7 +36,7 @@ from ednetsim.cli import cmd_optimize, cmd_report, cmd_simulate
 from ednetsim.distributions import rate_from_annual_count
 from ednetsim.network import POLICY_IDS, RED, YELLOW
 
-from util import single_ed_scenario
+from util import single_ed_scenario, with_replication
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lazio_synthetic.yaml"
 
@@ -85,7 +86,7 @@ def test_objective_arithmetic_at_starting_point():
     assert plan.sum() == 66
     worst = ("", 0.0)
     for policy, tolerance in (("P1", 1e-3), ("P2", 5e-3), ("P3", 5e-3), ("P4", 5e-3)):
-        f = objective_value(plan, _nva_matrix(policy))
+        f = objective_value(plan, _nva_matrix(policy), ObjectiveSpec())
         rel = abs(f - F_START[policy]) / F_START[policy]
         if rel > worst[1]:
             worst = (f"{policy} {f:.2f} vs {F_START[policy]:.2f}", rel)
@@ -98,7 +99,7 @@ def test_objective_arithmetic_at_starting_point():
 
 
 def test_constraint_violations_at_starting_point():
-    g = constraint_violations(_nva_matrix("P1"))
+    g = constraint_violations(_nva_matrix("P1"), ObjectiveSpec())
     expected = np.zeros((6, 2))
     expected[3] = [10.28, 4.40]
     expected[4] = [14.63, 3.70]
@@ -187,7 +188,8 @@ def test_queueing_core_against_erlang_c():
 
     scenario = single_ed_scenario(rates_yellow=(arrival_rate,) * 3, los_mean=mean_los)
     base = ReplicationSpec(horizon=2_010_000.0, warmup=10_000.0, seed=0)
-    summary = saa_evaluate(scenario, [[servers] * 3], "P1", replications=3, base_spec=base)
+    scenario = with_replication(scenario, base)
+    summary = saa_evaluate(scenario, [[servers] * 3], "P1", replications=3)
     simulated = float(summary.mean_nva[0, YELLOW])
     rel = abs(simulated - exact) / exact
     _criterion(
@@ -313,9 +315,10 @@ def test_calibration_recovers_known_capacities():
         los_mean=30.0,
     )
     base = ReplicationSpec(horizon=30 * 1440.0, warmup=1440.0, seed=101)
+    scenario = with_replication(scenario, base)
     true_caps = (4, 5, 3)
-    real = simulated_waits(scenario, true_caps, replications=10, base_spec=base)
-    caps, err = calibrate_ed(scenario, real, bounds=(2, 5), replications=10, base_spec=base)
+    real = simulated_waits(scenario, true_caps, replications=10)
+    caps, err = calibrate_ed(scenario, real, bounds=(2, 5), replications=10)
     _criterion(
         "calibration self-recovery",
         tuple(caps) == true_caps and err == 0.0,

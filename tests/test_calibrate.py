@@ -6,7 +6,7 @@ import pytest
 from ednetsim import ReplicationSpec, calibrate_ed, calibrate_network, l1_error
 from ednetsim.calibrate import simulated_waits
 
-from util import network_scenario, single_ed_scenario
+from util import network_scenario, single_ed_scenario, with_replication
 
 
 def test_l1_error_hand_values():
@@ -41,10 +41,11 @@ def _loaded_single_ed():
 def test_self_recovery():
     sc = _loaded_single_ed()
     base = ReplicationSpec(horizon=15 * 1440.0, warmup=960.0, seed=77)
+    sc = with_replication(sc, base)
     true_caps = (4, 5, 3)
-    real = simulated_waits(sc, true_caps, replications=2, base_spec=base)
+    real = simulated_waits(sc, true_caps, replications=2)
     assert real.max() > 0.0
-    caps, err = calibrate_ed(sc, real, bounds=(2, 5), replications=2, base_spec=base)
+    caps, err = calibrate_ed(sc, real, bounds=(2, 5), replications=2)
     assert caps == true_caps
     assert err == 0.0
 
@@ -52,7 +53,8 @@ def test_self_recovery():
 def test_zero_waits_drive_capacities_to_maximum():
     sc = single_ed_scenario(rates_yellow=(0.3, 0.3, 0.3), los_mean=30.0)
     base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=5)
-    caps, err = calibrate_ed(sc, np.zeros((3, 2)), bounds=(2, 4), replications=2, base_spec=base)
+    sc = with_replication(sc, base)
+    caps, err = calibrate_ed(sc, np.zeros((3, 2)), bounds=(2, 4), replications=2)
     assert caps == (4, 4, 4)
     assert err > 0.0
 
@@ -62,12 +64,13 @@ def test_grid_matches_independent_enumeration():
 
     sc = _loaded_single_ed()
     base = ReplicationSpec(horizon=8 * 1440.0, warmup=480.0, seed=11)
+    sc = with_replication(sc, base)
     real = np.full((3, 2), 12.0)
-    caps, err = calibrate_ed(sc, real, bounds=(2, 4), replications=2, base_spec=base)
+    caps, err = calibrate_ed(sc, real, bounds=(2, 4), replications=2)
 
     best = None
     for triple in product(range(2, 5), repeat=3):
-        waits = simulated_waits(sc, triple, replications=2, base_spec=base)
+        waits = simulated_waits(sc, triple, replications=2)
         key = (l1_error(waits, real), sum(triple), triple)
         if best is None or key < best:
             best = key
@@ -75,18 +78,39 @@ def test_grid_matches_independent_enumeration():
     assert err == pytest.approx(best[0])
 
 
+def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
+    from itertools import product
+
+    from ednetsim import calibrate
+
+    sc = single_ed_scenario(rates_yellow=(0.05, 0.05, 0.05), los_mean=30.0, plan_bounds=(2, 3))
+    sc = with_replication(sc, ReplicationSpec(horizon=4 * 1440.0, warmup=480.0, seed=5))
+    searched = []
+    original = calibrate.simulated_waits
+
+    def recording(scenario, capacities, replications):
+        searched.append(tuple(capacities))
+        return original(scenario, capacities, replications)
+
+    monkeypatch.setattr(calibrate, "simulated_waits", recording)
+    caps, _ = calibrate_ed(sc, np.zeros((3, 2)), replications=1)
+    assert sorted(searched) == list(product((2, 3), repeat=3))
+    assert caps == (3, 3, 3)
+
+
 def test_calibrate_network_recovers_every_ed():
     sc = network_scenario(
         n=2, rates_yellow=(0.15, 0.15, 0.15), rates_red=(0.02, 0.02, 0.02), los_mean=30.0
     )
     base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=31)
+    sc = with_replication(sc, base)
     true_plan = np.array([[3, 4, 3], [4, 3, 4]])
     rows = [
-        simulated_waits(sc.isolate(i), true_plan[i], replications=2, base_spec=base)
+        simulated_waits(sc.isolate(i), true_plan[i], replications=2)
         for i in range(2)
     ]
     sc.real_waits = np.stack(rows)
-    plan, errors = calibrate_network(sc, bounds=(2, 4), replications=2, base_spec=base)
+    plan, errors = calibrate_network(sc, bounds=(2, 4), replications=2)
     assert np.array_equal(plan, true_plan)
     assert np.allclose(errors, 0.0)
 

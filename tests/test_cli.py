@@ -1,10 +1,11 @@
 """End-to-end command tests: flags, CSV schemas, determinism, exit codes."""
 
 import csv
+import hashlib
 
 import pytest
 
-from ednetsim import parse_scenario
+from ednetsim import parse_scenario, simulate
 from ednetsim.cli import cmd_optimize, cmd_report, main
 
 SCENARIO = """
@@ -213,6 +214,42 @@ def test_calibrate_writes_plan_and_feeds_simulate(tmp_path):
     assert (out / "nva.csv").exists()
 
 
+def test_calibrate_searches_plan_bounds_by_default(tmp_path):
+    path = tmp_path / "cal.yaml"
+    path.write_text(CALIBRATE_SCENARIO.replace("plan_bounds: [1, 6]", "plan_bounds: [2, 3]"))
+    out = tmp_path / "out"
+    code = main(["calibrate", "--scenario", str(path), "--replications", "1", "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out / "calibrated_plan.csv")
+    assert rows[1][1:] == ["3", "3", "3"]
+    assert rows[2][1:] == ["2", "2", "2"]
+
+
+@pytest.mark.parametrize("bounds", [("2", "7"), ("0", "3"), ("3", "2")])
+def test_calibrate_bounds_outside_plan_bounds_fail_first(tmp_path, capsys, monkeypatch, bounds):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --bounds")
+
+    monkeypatch.setattr(simulate, "run_replication", no_simulation)
+    path = tmp_path / "cal.yaml"
+    path.write_text(CALIBRATE_SCENARIO)
+    args = ["calibrate", "--scenario", str(path), "--bounds", *bounds, "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    lo, hi = bounds
+    assert err.startswith(f"error: capacity bounds [{lo}, {hi}] must be a range within ")
+    assert "plan_bounds [1, 6]" in err
+    assert not (tmp_path / "calibrated_plan.csv").exists()
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_negative_seed_fails(scenario_file, tmp_path, capsys, seed):
+    args = ["simulate", "--scenario", str(scenario_file), "--seed", seed, "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: --seed: value {seed} below minimum 0")
+    assert not (tmp_path / "nva.csv").exists()
+
+
 def test_optimize_budget_one_returns_start(scenario_file, tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -304,6 +341,7 @@ def test_non_finite_scenario_number_fails(tmp_path, capsys):
         ("mean: 60}", "mean: abc}", "eds[0].los.yellow"),
         ("mean: 60}", "mean: .inf}", "eds[0].los.yellow"),
         ("exponential, mean: 60}", "lognormal, mean: 60, cv: .nan}", "eds[0].los.yellow"),
+        ("[0, 12]", "[0, .inf]", "transfer_minutes[0][1]"),
     ],
 )
 def test_bad_scenario_value_fails_with_key_path(tmp_path, capsys, old, new, path):
@@ -340,3 +378,67 @@ def test_optimize_csv_byte_deterministic(scenario_file, tmp_path):
         outs.append(out)
     for name in ("optimal_plan_P2.csv", "objective_P2.csv", "optimal_nva_P2.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _csv_digests(out_dir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.glob("*.csv"))
+    }
+
+
+# sha256 of every CSV the commands below write; a change to any of them
+# means the simulated numbers or their formatting moved.
+PINNED_DIGESTS = {
+    "simulate_P1": {
+        "diversions.csv": "8172acdcb92605650cdd945c01325542f4e8e9ba5355e824e8ffc3a9e93aabde",
+        "nva.csv": "912b823513cb945e4be5be723ed1a7387b078c30a70280494277a81f4da4689f",
+    },
+    "simulate_P2": {
+        "diversions.csv": "f88909aecc85d122e79acba99fa7d2346197164786d034d098f5635cb53626e5",
+        "nva.csv": "f29a02f463f67b7e7e0b945883947d557fc02eb384cec7187cbe6cb44009c621",
+    },
+    "simulate_P3": {
+        "diversions.csv": "42d7b4ae8240442aa1a691a870e047ee0a64637caf4b29c89aeac7ae127e3e10",
+        "nva.csv": "ced4ece84173ef2554ed6c8645f1fe1d5ad3e01f5acb8b0d672f53b3d32fffea",
+    },
+    "simulate_P4": {
+        "diversions.csv": "ec6c599df800b37d96804e0181df9a4eba41562e39d49fa0f8849a63d29d741d",
+        "nva.csv": "8ab9b1809f86f47295b56a6a4bc5c3d184333e45f40d09accc948df83d8cd1f5",
+    },
+    "optimize_report": {
+        "objective_P2.csv": "c3b36ece1327fa16317f7a594c55966ccb57eff98251acdfcf642dc427819a06",
+        "optimal_nva_P2.csv": "f29a02f463f67b7e7e0b945883947d557fc02eb384cec7187cbe6cb44009c621",
+        "optimal_plan_P2.csv": "cf113b893e8b98ddfacc2a12257cdb40421ef6efe3bfe3199063bed3d99295cc",
+        "summary_objectives.csv": "d3a538ced346518d99a3a20afda188fb208dd7d6c0d862f4750094bfe57b934b",
+        "summary_plans.csv": "ba38a07818dca773b26e6c7baa6a20de982f58cfe66bdcf7c69fd8a0293c2a76",
+    },
+    "calibrate": {
+        "calibrated_plan.csv": "4ef542d16a0fd27543d1f881c6c7b70fbd2226e93269fe18d9866a74220bc556",
+    },
+}
+
+
+def test_cli_outputs_pinned(scenario_file, tmp_path):
+    digests = {}
+    common = ["--replications", "2", "--seed", "5"]
+    for policy in ("P1", "P2", "P3", "P4"):
+        out = tmp_path / f"simulate_{policy}"
+        args = ["simulate", "--scenario", str(scenario_file), "--policy", policy]
+        assert main([*args, *common, "--out", str(out)]) == 0
+        digests[f"simulate_{policy}"] = _csv_digests(out)
+
+    out = tmp_path / "optimize"
+    args = ["optimize", "--scenario", str(scenario_file), "--policy", "P2", "--budget", "6"]
+    assert main([*args, *common, "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    digests["optimize_report"] = _csv_digests(out)
+
+    cal = tmp_path / "cal.yaml"
+    cal.write_text(CALIBRATE_SCENARIO)
+    out = tmp_path / "calibrate"
+    args = ["calibrate", "--scenario", str(cal), "--bounds", "2", "3", "--replications", "1"]
+    assert main([*args, "--out", str(out)]) == 0
+    digests["calibrate"] = _csv_digests(out)
+
+    assert digests == PINNED_DIGESTS

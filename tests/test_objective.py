@@ -19,7 +19,7 @@ from ednetsim import (
 )
 from ednetsim.network import RED, YELLOW
 
-from util import asymmetric_pair_scenario, exp_los, single_ed_scenario
+from util import asymmetric_pair_scenario, exp_los, single_ed_scenario, with_replication
 
 # published starting point: per-ED slot capacities and the P1 NVA means
 START_PLAN = [
@@ -41,7 +41,7 @@ NVA_P1 = [
 
 
 def test_objective_value_published_starting_point():
-    f = objective_value(np.array(START_PLAN), NVA_P1)
+    f = objective_value(np.array(START_PLAN), NVA_P1, ObjectiveSpec())
     assert f == pytest.approx(480.0 * 66 + 300.0 * 165.04 + 600.0 * 77.10)
     assert f == pytest.approx(127454.63, rel=1e-3)
 
@@ -56,7 +56,7 @@ def test_objective_value_weights():
 
 
 def test_constraint_violations_published_rows():
-    g = constraint_violations(NVA_P1)
+    g = constraint_violations(NVA_P1, ObjectiveSpec())
     expected = np.zeros((6, 2))
     expected[3] = [10.28, 4.40]
     expected[4] = [14.63, 3.70]
@@ -64,7 +64,7 @@ def test_constraint_violations_published_rows():
 
 
 def test_constraint_violations_all_satisfied():
-    g = constraint_violations([[40.0, 20.0], [0.0, 0.0]])
+    g = constraint_violations([[40.0, 20.0], [0.0, 0.0]], ObjectiveSpec())
     assert np.all(g == 0.0)
 
 
@@ -78,13 +78,14 @@ def test_objective_spec_validation():
 def test_saa_is_reproducible_and_uses_common_seeds():
     sc = single_ed_scenario(rates_yellow=(0.08, 0.08, 0.08))
     base = ReplicationSpec(horizon=15 * 1440.0, warmup=480.0, seed=100)
-    a = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=4, base_spec=base)
-    b = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=4, base_spec=base)
+    sc = with_replication(sc, base)
+    a = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=4)
+    b = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=4)
     assert a.objective == b.objective
     assert np.array_equal(a.rep_means, b.rep_means)
     # a different plan under the same base shares every replication seed,
     # so more capacity can only shorten each replication's estimate here
-    c = saa_evaluate(sc, [[6, 6, 6]], "P1", replications=4, base_spec=base)
+    c = saa_evaluate(sc, [[6, 6, 6]], "P1", replications=4)
     assert np.all(c.rep_means[:, 0, YELLOW] <= a.rep_means[:, 0, YELLOW])
 
 
@@ -93,7 +94,8 @@ def test_saa_half_width_matches_summarize():
 
     sc = single_ed_scenario(rates_yellow=(0.08, 0.08, 0.08))
     base = ReplicationSpec(horizon=15 * 1440.0, warmup=480.0, seed=3)
-    s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=5, base_spec=base)
+    sc = with_replication(sc, base)
+    s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=5)
     ci = summarize(s.rep_means[:, 0, YELLOW])
     assert s.mean_nva[0, YELLOW] == pytest.approx(ci.mean)
     assert s.half_width[0, YELLOW] == pytest.approx(ci.half_width)
@@ -103,7 +105,8 @@ def test_saa_half_width_matches_summarize():
 def test_saa_empty_tag_counts_as_zero():
     sc = single_ed_scenario(rates_yellow=(0.05, 0.05, 0.05))  # no red arrivals
     base = ReplicationSpec(horizon=5 * 1440.0, warmup=480.0, seed=1)
-    s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=2, base_spec=base)
+    sc = with_replication(sc, base)
+    s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=2)
     assert np.all(s.rep_means[:, 0, RED] == 0.0)
     assert s.mean_nva[0, RED] == 0.0
 
@@ -111,16 +114,18 @@ def test_saa_empty_tag_counts_as_zero():
 def test_saa_single_replication_has_no_half_width():
     sc = single_ed_scenario()
     base = ReplicationSpec(horizon=5 * 1440.0, warmup=480.0, seed=1)
-    s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=1, base_spec=base)
+    sc = with_replication(sc, base)
+    s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=1)
     assert np.isnan(s.half_width).all()
     with pytest.raises(ValueError):
-        saa_evaluate(sc, [[2, 2, 2]], "P1", replications=0, base_spec=base)
+        saa_evaluate(sc, [[2, 2, 2]], "P1", replications=0)
 
 
 def test_make_allocation_problem_round_trip():
     sc = asymmetric_pair_scenario()
     base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=50)
-    evaluate, n_vars = make_allocation_problem(sc, "P2", replications=2, base_spec=base)
+    sc = with_replication(sc, base)
+    evaluate, n_vars = make_allocation_problem(sc, "P2", replications=2)
     assert n_vars == 6
     x = (1, 1, 1, 4, 4, 4)
     f, g = evaluate(x)
@@ -183,7 +188,8 @@ def test_p1_memo_matches_whole_network_evaluation():
     # stream 0 would change the numbers of ED2 and ED3
     sc = distinct_three_ed_scenario()
     base = ReplicationSpec(horizon=6 * 1440.0, warmup=480.0, seed=12)
-    evaluate, _ = make_allocation_problem(sc, "P1", replications=3, base_spec=base)
+    sc = with_replication(sc, base)
+    evaluate, _ = make_allocation_problem(sc, "P1", replications=3)
     points = [
         (2, 2, 2, 3, 3, 3, 2, 3, 2),
         (2, 2, 2, 1, 3, 3, 2, 3, 2),
@@ -193,7 +199,7 @@ def test_p1_memo_matches_whole_network_evaluation():
     ]
     for x in points:
         f, g = evaluate(x)
-        fresh = saa_evaluate(sc, np.reshape(x, (3, 3)), "P1", replications=3, base_spec=base)
+        fresh = saa_evaluate(sc, np.reshape(x, (3, 3)), "P1", replications=3)
         assert_same_estimate(evaluate.summaries[x], fresh)
         assert f == fresh.objective
         assert np.array_equal(g, fresh.violations.reshape(-1))
@@ -202,7 +208,8 @@ def test_p1_memo_matches_whole_network_evaluation():
 def test_p1_memo_simulates_each_row_once():
     sc = distinct_three_ed_scenario()
     base = ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=5)
-    evaluate, _ = make_allocation_problem(sc, "P1", replications=2, base_spec=base)
+    sc = with_replication(sc, base)
+    evaluate, _ = make_allocation_problem(sc, "P1", replications=2)
     outputs, patch = counting_replications()
     with patch:
         evaluate((2, 2, 2, 3, 3, 3, 2, 3, 2))
@@ -220,7 +227,8 @@ def test_p1_memo_simulates_each_row_once():
 def test_coupled_policies_simulate_every_evaluation():
     sc = distinct_three_ed_scenario(policy="P4")
     base = ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=5)
-    evaluate, _ = make_allocation_problem(sc, "P4", replications=2, base_spec=base)
+    sc = with_replication(sc, base)
+    evaluate, _ = make_allocation_problem(sc, "P4", replications=2)
     outputs, patch = counting_replications()
     with patch:
         evaluate((2, 2, 2, 3, 3, 3, 2, 3, 2))
@@ -228,7 +236,7 @@ def test_coupled_policies_simulate_every_evaluation():
         evaluate((2, 2, 2, 3, 3, 3, 2, 3, 2))
     assert len(outputs) == 3 * 2
     with pytest.raises(ValueError, match="P1"):
-        saa_evaluate(sc, np.full((3, 3), 2), "P4", replications=1, base_spec=base, ed_memo={})
+        saa_evaluate(sc, np.full((3, 3), 2), "P4", replications=1, ed_memo={})
 
 
 @st.composite
@@ -270,11 +278,12 @@ def p1_networks(draw):
 @given(p1_networks())
 def test_p1_memo_property(case):
     sc, plan, changed, base = case
+    sc = with_replication(sc, base)
     n, reps = sc.n_eds, 2
-    evaluate, _ = make_allocation_problem(sc, "P1", replications=reps, base_spec=base)
+    evaluate, _ = make_allocation_problem(sc, "P1", replications=reps)
     outputs, patch = counting_replications()
     with patch:
-        whole = saa_evaluate(sc, plan, "P1", replications=reps, base_spec=base)
+        whole = saa_evaluate(sc, plan, "P1", replications=reps)
         f, _ = evaluate(tuple(plan.reshape(-1).tolist()))
         solo = outputs[reps:]
         assert len(solo) == n * reps
@@ -283,7 +292,7 @@ def test_p1_memo_property(case):
     assert_same_estimate(evaluate.summaries[tuple(plan.reshape(-1).tolist())], whole)
     assert_same_estimate(
         evaluate.summaries[tuple(changed.reshape(-1).tolist())],
-        saa_evaluate(sc, changed, "P1", replications=reps, base_spec=base),
+        saa_evaluate(sc, changed, "P1", replications=reps),
     )
     # patients are conserved in every replication, whole and per ED, and
     # the per-ED runs of a replication add up to the whole-network run

@@ -215,6 +215,22 @@ def test_non_finite_numbers_name_key_path(key, value, path):
 
 
 @pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0, float("inf")], [float("inf"), 0]], r"transfer_minutes\[0\]\[1\]: expected a finite"),
+        ([[0, float("nan")], [5, 0]], r"transfer_minutes\[0\]\[1\]: expected a finite"),
+        ([[0, True], [5, 0]], r"transfer_minutes\[0\]\[1\]: expected a number"),
+        ([[0, "abc"], [5, 0]], r"transfer_minutes\[0\]\[1\]: expected a number"),
+        ([[0, 5], [5]], r"transfer_minutes\[1\]: expected a list of 2 numbers"),
+    ],
+)
+def test_transfer_entries_name_key_path(matrix, message):
+    data = {"eds": [minimal_ed(), minimal_ed("B")], "transfer_minutes": matrix}
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
     "block, path",
     [
         ({"seed": float("inf")}, r"replication\.seed: expected a finite number"),

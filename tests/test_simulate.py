@@ -9,7 +9,13 @@ from ednetsim import ReplicationSpec, run_replication, saa_evaluate
 from ednetsim.calibrate import simulated_waits
 from ednetsim.network import RED, YELLOW
 
-from util import asymmetric_pair_scenario, network_scenario, plan_for, single_ed_scenario
+from util import (
+    asymmetric_pair_scenario,
+    network_scenario,
+    plan_for,
+    single_ed_scenario,
+    with_replication,
+)
 
 
 def short_spec(seed=1, days=20, warmup=480.0):
@@ -128,7 +134,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         run_replication(sc, np.array([[2.5, 2.0, 2.0]]), "P1", short_spec())
     with pytest.raises(ValueError):
-        saa_evaluate(sc, [[2.5, 2, 2]], "P1", replications=1, base_spec=short_spec())
+        saa_evaluate(with_replication(sc, short_spec()), [[2.5, 2, 2]], "P1", replications=1)
 
 
 def test_replication_k_runs_on_seed_base_plus_k_plus_one():
@@ -136,13 +142,13 @@ def test_replication_k_runs_on_seed_base_plus_k_plus_one():
     # a change of layout must change this test on purpose
     sc = single_ed_scenario(rates_yellow=(0.08, 0.08, 0.08), rates_red=(0.02, 0.02, 0.02))
     plan = np.array([[2, 3, 2]])
-    base = short_spec(seed=40, days=5)
+    seeded = with_replication(sc, short_spec(seed=40, days=5))
     direct = [run_replication(sc, plan, "P1", short_spec(seed=41 + k, days=5)) for k in range(2)]
-    summary = saa_evaluate(sc, plan, "P1", replications=2, base_spec=base)
+    summary = saa_evaluate(seeded, plan, "P1", replications=2)
     for k, out in enumerate(direct):
         assert summary.rep_means[k, 0, YELLOW] == out.mean_nva(0, YELLOW)
         assert summary.rep_means[k, 0, RED] == out.mean_nva(0, RED)
-    waits = simulated_waits(sc, (2, 3, 2), 2, base)
+    waits = simulated_waits(seeded, (2, 3, 2), 2)
     expected = (direct[0].slot_tag_waits(0) + direct[1].slot_tag_waits(0)) / 2
     assert np.array_equal(waits, expected)
 
@@ -209,11 +215,11 @@ def test_p2_p3_outputs_pinned():
     got = {}
     for name, policy in cases.items():
         sc = network_scenario(n=3, rates_yellow=(0.05, 0.07, 0.04), policy=policy)
-        s = saa_evaluate(sc, plan, sc.policy, replications=3, base_spec=base)
+        s = saa_evaluate(with_replication(sc, base), plan, sc.policy, replications=3)
         assert s.redirects.sum() > 0
         got[name] = _digest(s)
     # P2 ignores p3_thresholds: same outputs as without them
     sc = network_scenario(n=3, rates_yellow=(0.05, 0.07, 0.04), policy="P2")
-    plain = saa_evaluate(sc, plan, "P2", replications=3, base_spec=base)
+    plain = saa_evaluate(with_replication(sc, base), plan, "P2", replications=3)
     assert _digest(plain) == got["P2 thresholds"]
     assert got == PINNED_P2_P3

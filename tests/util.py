@@ -1,5 +1,7 @@
 """Scenario builders shared across the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from ednetsim import scenario_from_dict
@@ -65,6 +67,11 @@ def network_scenario(
     if extra:
         data.update(extra)
     return scenario_from_dict(data)
+
+
+def with_replication(scenario, spec):
+    """The scenario with `spec` (horizon, warm-up, seed) as its replication block."""
+    return replace(scenario, replication=spec)
 
 
 def plan_for(scenario, value):
