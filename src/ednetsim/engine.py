@@ -1,12 +1,14 @@
 """Discrete-event kernel: event calendar, clock, reproducible random streams.
 
 The kernel knows nothing about emergency departments.  It provides a
-future-event list with deterministic tie-breaking, the per-replication
+future-event list with deterministic tie-breaking (a heap of scheduled
+events merged with a pre-generated arrival timeline), the per-replication
 clock, and a family of independent random substreams derived from a
 single replication seed.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +38,30 @@ class SimulationLogicError(RuntimeError):
 
 
 class EventCalendar:
-    """Future-event list ordered by (time, insertion sequence number).
+    """Future-event list: a heap of scheduled events plus an arrival timeline.
 
-    Ties at equal timestamps are dispatched in insertion order, which
-    makes every replication a pure function of its inputs.
+    Scheduled events are ordered by (time, insertion sequence number), so
+    ties among them go in insertion order.  A replication's arrivals are
+    known before it starts: they are passed once, sorted by time (finite,
+    non-negative), with one payload each, and never enter the heap.  At
+    equal times a scheduled event goes before an arrival.  Every
+    replication is thus a pure function of its inputs.
     """
 
-    def __init__(self):
+    def __init__(self, arrival_times=(), arrival_payloads=()):
+        times = np.asarray(arrival_times, dtype=float)
+        if len(times) != len(arrival_payloads):
+            raise ValueError(f"got {len(times)} arrival times for {len(arrival_payloads)} payloads")
+        if not (np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) >= 0.0)):
+            raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
         self._heap = []
         self._seq = 0
         self.clock = 0.0
+        # +inf ends the timeline, so pop needs no bounds check
+        self._arrival_times = times.tolist()
+        self._arrival_times.append(math.inf)
+        self._arrival_payloads = list(arrival_payloads)
+        self._next_arrival = 0
 
     def schedule(self, time, kind, payload=None):
         if time < self.clock:
@@ -57,13 +73,25 @@ class EventCalendar:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
     def pop(self):
-        """Remove and return the next (time, seq, kind, payload); advances the clock."""
-        ev = heapq.heappop(self._heap)
-        self.clock = ev[0]
-        return ev
+        """Remove and return the next (time, seq, kind, payload); advances the clock.
+
+        An arrival comes back as (time, its timeline index, ARRIVAL, payload).
+        """
+        i = self._next_arrival
+        t = self._arrival_times[i]
+        heap = self._heap
+        if heap and heap[0][0] <= t:
+            ev = heapq.heappop(heap)
+            self.clock = ev[0]
+            return ev
+        if t == math.inf:
+            raise IndexError("pop from an empty event calendar")
+        self._next_arrival = i + 1
+        self.clock = t
+        return t, i, ARRIVAL, self._arrival_payloads[i]
 
     def __len__(self):
-        return len(self._heap)
+        return len(self._heap) + len(self._arrival_payloads) - self._next_arrival
 
 
 @dataclass

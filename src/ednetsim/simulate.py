@@ -122,37 +122,25 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
     eds = [EDState(i, plan[i][0], thresholds[i]) for i in range(n)]
 
     streams = RandomStreams(spec.seed)
-    los_rngs = [streams.get(i, "los") for i in range(n)]
+    times, payloads, sources = _arrival_timeline(scenario, horizon, streams)
+    # Under P1 a patient only boards at the ED they arrive at, so EDs that
+    # have no arrivals stay empty: they need no LOS stream and no staffing.
+    routing_active = policy.id != "P1"
+    staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
+    los_rngs = {i: streams.get(i, "los") for i in staffed}
     los_table = scenario.los  # [ed][tag][slot] -> LosDistribution
 
-    # Pre-generate every arrival time for the horizon; the calendar holds
-    # only the next arrival of each (ED, tag) stream at a time.
-    arrivals = {}
-    for i in range(n):
-        for tag, purpose in ((YELLOW, "arrival-yellow"), (RED, "arrival-red")):
-            process = scenario.arrivals[i][tag]
-            if process is None or process.day_intensity == 0.0:
-                continue
-            times = process.arrival_times(horizon, streams.get(i, purpose))
-            if len(times):
-                arrivals[(i, tag)] = times
-
-    calendar = EventCalendar()
+    calendar = EventCalendar(times, payloads)
     calendar.schedule(horizon, END_OF_HORIZON)
     boundary = SLOT_MINUTES
     while boundary < horizon:
         calendar.schedule(boundary, SLOT_BOUNDARY)
         boundary += SLOT_MINUTES
-    pointers = {}
-    for key, times in arrivals.items():
-        pointers[key] = 1
-        calendar.schedule(times[0], ARRIVAL, key)
 
     nva = [[[[] for _ in range(SLOTS_PER_DAY)] for _ in range(2)] for _ in range(n)]
     redirects_out = [0] * n
     created = discharged = 0
     records = [] if record_patients else None
-    routing_active = policy.id != "P1"
 
     def start_service(patient, ed_idx, clock):
         dist = los_table[ed_idx][patient.tag][patient.entry_slot]
@@ -169,11 +157,6 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
 
         if kind == ARRIVAL:
             ed_idx, tag = payload
-            idx = pointers[(ed_idx, tag)]
-            times = arrivals[(ed_idx, tag)]
-            if idx < len(times):
-                calendar.schedule(times[idx], ARRIVAL, payload)
-                pointers[(ed_idx, tag)] = idx + 1
             created += 1
             patient = Patient(tag, ed_idx, clock)
             target = None
@@ -206,7 +189,7 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
 
         elif kind == SLOT_BOUNDARY:
             slot = slot_of(clock)
-            for i in range(n):
+            for i in staffed:
                 for started in eds[i].set_capacity(plan[i][slot], clock):
                     start_service(started, i, clock)
 
@@ -234,6 +217,29 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
         in_system=in_system,
         patients=records,
     )
+
+
+def _arrival_timeline(scenario, horizon, streams):
+    """Every arrival as (times, payloads, sources), sorted by time.
+
+    The (ED, tag) streams are generated in ED then tag order and merged by
+    a stable sort, so simultaneous arrivals keep that order.  A payload is
+    the arrival's (ED index, tag); sources lists the pairs with arrivals.
+    """
+    keys, chunks = [], []
+    for i in range(scenario.n_eds):
+        for tag, purpose in ((YELLOW, "arrival-yellow"), (RED, "arrival-red")):
+            process = scenario.arrivals[i][tag]
+            if process is None or process.day_intensity == 0.0:
+                continue
+            times = process.arrival_times(horizon, streams.get(i, purpose))
+            if len(times):
+                keys.append((i, tag))
+                chunks.append(times)
+    times = np.concatenate([np.empty(0), *chunks])
+    source = np.repeat(np.arange(len(keys)), [len(c) for c in chunks])
+    order = np.argsort(times, kind="stable")
+    return times[order], [keys[k] for k in source[order].tolist()], keys
 
 
 def replicate(scenario, plan, policy, replications):

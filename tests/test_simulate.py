@@ -1,11 +1,12 @@
 """Replication-driver tests: conservation, warm-up, determinism, policies."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ednetsim import ReplicationSpec, run_replication, saa_evaluate
+from ednetsim import ReplicationSpec, parse_scenario, run_replication, saa_evaluate
 from ednetsim.calibrate import simulated_waits
 from ednetsim.network import RED, YELLOW
 
@@ -223,3 +224,26 @@ def test_p2_p3_outputs_pinned():
     plain = saa_evaluate(with_replication(sc, base), plan, "P2", replications=3)
     assert _digest(plain) == got["P2 thresholds"]
     assert got == PINNED_P2_P3
+
+
+# sha256 of saa_evaluate's (rep_means, redirects) for the six-ED network on
+# its starting plan (10 days, R=2); any change to the event order of the
+# coupled loop moves them.
+PINNED_LAZIO = {
+    "P1": "32e451012ce4454fd5cd25eb454fa7555ad627c76aa0d79056602ed67ec2d0eb",
+    "P2": "36b3736e0bfd52f27f7b3a5d9ca0247140e7385ffb637eba3b8c57bc6fc2be2a",
+    "P3": "a3f131d3b9073718747882007c48f110c0e6eae01a4dc3c20cd684ce253f7ac0",
+    "P4": "52571b82a5a4dcef14426b22cba4245eb7d5393590ae775d920e8f50c9546b41",
+}
+
+
+def test_six_ed_outputs_pinned():
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "lazio_synthetic.yaml"
+    sc = parse_scenario(path)
+    sc = with_replication(sc, ReplicationSpec(horizon=10 * 1440.0, warmup=48 * 60.0, seed=7))
+    got = {}
+    for policy in PINNED_LAZIO:
+        s = saa_evaluate(sc, sc.starting_plan, policy, replications=2)
+        assert (s.redirects.sum() > 0) == (policy != "P1")
+        got[policy] = _digest(s)
+    assert got == PINNED_LAZIO
