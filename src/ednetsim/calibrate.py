@@ -39,7 +39,7 @@ def simulated_waits(scenario, capacities, replications):
     return total / replications
 
 
-def calibrate_ed(scenario, real, bounds=None, replications=30):
+def calibrate_ed(scenario, real, replications, bounds=None):
     """Exhaustively fit one ED's three slot capacities to its real waits.
 
     scenario: a single-ED scenario (see Scenario.isolate).
@@ -74,7 +74,7 @@ def calibrate_ed(scenario, real, bounds=None, replications=30):
     return best[2], best[0]
 
 
-def calibrate_network(scenario, bounds=None, replications=30):
+def calibrate_network(scenario, replications, bounds=None):
     """Calibrate every ED of a scenario independently.
 
     Requires scenario.real_waits.  Returns (plan, errors): an (n_eds, 3)
@@ -87,12 +87,7 @@ def calibrate_network(scenario, bounds=None, replications=30):
     errors = np.zeros(n)
     for i in range(n):
         single = scenario.isolate(i)
-        triple, err = calibrate_ed(
-            single,
-            scenario.real_waits[i],
-            bounds=bounds,
-            replications=replications,
-        )
+        triple, err = calibrate_ed(single, scenario.real_waits[i], replications, bounds)
         plan[i] = triple
         errors[i] = err
     return plan, errors

@@ -53,10 +53,10 @@ def _starting_plan(scenario, out_dir):
         return np.array(scenario.starting_plan, dtype=int)
     path = os.path.join(out_dir, "calibrated_plan.csv")
     if os.path.exists(path):
-        _, plan = read_plan_csv(path)
-        if len(plan) != scenario.n_eds:
+        names, plan = read_plan_csv(path)
+        if names != scenario.ed_names:
             raise ValueError(
-                f"{path}: has {len(plan)} EDs, scenario has {scenario.n_eds}"
+                f"{path}: plan is for EDs {names}, scenario has EDs {scenario.ed_names}"
             )
         return np.array(plan, dtype=int)
     raise ValueError(
@@ -64,13 +64,12 @@ def _starting_plan(scenario, out_dir):
     )
 
 
-def cmd_simulate(scenario, plan=None, policy=None, replications=30, seed=None, out_dir="out"):
-    """Estimate NVA times of one plan; writes nva.csv and diversions.csv."""
+def cmd_simulate(scenario, replications, out_dir, policy=None, seed=None):
+    """Estimate NVA times of the starting plan; writes nva.csv and diversions.csv."""
     t0 = time.perf_counter()
     scenario = _seeded(scenario, seed)
     pol = _policy(scenario, policy)
-    if plan is None:
-        plan = _starting_plan(scenario, out_dir)
+    plan = _starting_plan(scenario, out_dir)
     summary = saa_evaluate(scenario, plan, pol, replications=replications)
     write_nva_csv(os.path.join(out_dir, "nva.csv"), scenario.ed_names, summary)
     write_diversions_csv(os.path.join(out_dir, "diversions.csv"), scenario.ed_names, summary)
@@ -90,11 +89,11 @@ def cmd_simulate(scenario, plan=None, policy=None, replications=30, seed=None, o
     return summary
 
 
-def cmd_calibrate(scenario, replications=30, seed=None, out_dir="out", bounds=None):
+def cmd_calibrate(scenario, replications, out_dir, seed=None, bounds=None):
     """Fit per-ED slot capacities to the scenario's real waits."""
     t0 = time.perf_counter()
     scenario = _seeded(scenario, seed)
-    plan, errors = calibrate_network(scenario, bounds=bounds, replications=replications)
+    plan, errors = calibrate_network(scenario, replications, bounds)
     write_plan_csv(os.path.join(out_dir, "calibrated_plan.csv"), scenario.ed_names, plan)
     lines = [
         "command: calibrate",
@@ -112,16 +111,15 @@ def cmd_calibrate(scenario, replications=30, seed=None, out_dir="out", bounds=No
     return plan, errors
 
 
-def cmd_optimize(scenario, policy=None, budget=700, replications=30, seed=None, out_dir="out"):
+def cmd_optimize(scenario, budget, replications, out_dir, policy=None, seed=None):
     """Search resource plans minimizing the penalized NVA cost for one policy."""
     t0 = time.perf_counter()
     scenario = _seeded(scenario, seed)
     pol = _policy(scenario, policy)
     start = _starting_plan(scenario, out_dir)
     lo, hi = scenario.plan_bounds
-    evaluate, n_vars = make_allocation_problem(scenario, pol, replications=replications)
+    evaluate = make_allocation_problem(scenario, pol, replications)
     problem = BoxedIntegerProblem(
-        dimension=n_vars,
         lower=lo,
         upper=hi,
         evaluate=evaluate,
@@ -180,7 +178,7 @@ def cmd_optimize(scenario, policy=None, budget=700, replications=30, seed=None, 
     }
 
 
-def cmd_report(out_dir="out"):
+def cmd_report(out_dir):
     """Merge per-policy optimize outputs into summary tables."""
     plans, results = {}, {}
     ed_names = None

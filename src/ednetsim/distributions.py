@@ -215,9 +215,9 @@ class MeanCI:
 
 
 @lru_cache(maxsize=None)
-def t_critical(df, level=0.975):
-    """Student-t critical value at the given one-sided level."""
-    return float(student_t.ppf(level, df))
+def t_critical(df):
+    """Two-sided 95% Student-t critical value (one-sided level 0.975)."""
+    return float(student_t.ppf(0.975, df))
 
 
 def summarize(values):

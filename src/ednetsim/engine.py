@@ -20,14 +20,6 @@ TRANSFER_COMPLETE = 2
 SLOT_BOUNDARY = 3
 END_OF_HORIZON = 4
 
-KIND_NAMES = {
-    ARRIVAL: "Arrival",
-    SERVICE_COMPLETE: "ServiceComplete",
-    TRANSFER_COMPLETE: "TransferComplete",
-    SLOT_BOUNDARY: "SlotBoundary",
-    END_OF_HORIZON: "EndOfHorizon",
-}
-
 # Purpose tags for random substreams, one code per purpose.
 STREAM_PURPOSES = ("arrival-yellow", "arrival-red", "los")
 _PURPOSE_CODES = {name: i for i, name in enumerate(STREAM_PURPOSES)}
@@ -66,7 +58,7 @@ class EventCalendar:
     def schedule(self, time, kind, payload=None):
         if time < self.clock:
             raise SimulationLogicError(
-                f"cannot schedule {KIND_NAMES.get(kind, kind)} at t={time:g} "
+                f"cannot schedule event kind {kind} at t={time:g} "
                 f"before current clock t={self.clock:g}"
             )
         self._seq += 1
@@ -89,9 +81,6 @@ class EventCalendar:
         self._next_arrival = i + 1
         self.clock = t
         return t, i, ARRIVAL, self._arrival_payloads[i]
-
-    def __len__(self):
-        return len(self._heap) + len(self._arrival_payloads) - self._next_arrival
 
 
 @dataclass

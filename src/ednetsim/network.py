@@ -97,10 +97,9 @@ class EDState:
     below the new capacity.
     """
 
-    __slots__ = ("ed_id", "capacity", "busy", "p3_threshold", "_queues")
+    __slots__ = ("capacity", "busy", "p3_threshold", "_queues")
 
-    def __init__(self, ed_id, capacity, p3_threshold=None):
-        self.ed_id = ed_id
+    def __init__(self, capacity, p3_threshold=None):
         self.capacity = int(capacity)
         self.busy = 0
         self.p3_threshold = p3_threshold
@@ -180,10 +179,11 @@ def nearest_order(tau):
     ]
 
 
-def decide_routing(policy, eds, tau, order, tag, origin):
+def decide_routing(policy, eds, order, tag, origin):
     """Board-or-redirect decision for a patient arriving at `origin`.
 
-    Returns the target ED index for a redirection, or None to board.
+    order is nearest_order of the transfer matrix; every policy tries candidates
+    in that order.  Returns the target ED index for a redirection, or None to board.
     """
     if policy.id == "P1":
         return None
@@ -201,19 +201,15 @@ def decide_routing(policy, eds, tau, order, tag, origin):
                 return j
         return None
 
-    # P4: least occupied ED of the whole network, origin included
+    # P4: least occupied ED of the whole network (origin included), nearest on ties
     if origin_ed.busy < origin_ed.capacity:
         return None
     min_busy = min(ed.busy for ed in eds)
     if origin_ed.busy == min_busy:
         return None
-    best = None
-    for j, ed in enumerate(eds):
-        if j == origin or ed.busy != min_busy:
-            continue
-        if best is None or (tau[origin][j], j) < (tau[origin][best], best):
-            best = j
-    return best
+    for j in order[origin]:
+        if eds[j].busy == min_busy:
+            return j
 
 
 def start_transfer(patient, origin, target, tau):

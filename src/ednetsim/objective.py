@@ -79,7 +79,7 @@ class SimSummary:
         )
 
 
-def saa_evaluate(scenario, plan, policy, replications=30, ed_memo=None):
+def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
     """Estimate cost and constraints of a plan by averaging replications.
 
     The replications come from `replicate`, so two plans evaluated on the
@@ -93,29 +93,29 @@ def saa_evaluate(scenario, plan, policy, replications=30, ed_memo=None):
         the memo are simulated one ED at a time and added, and the others
         are not simulated again.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
     policy = PolicySpec.coerce(policy)
     if ed_memo is not None and policy.id != "P1":
         raise ValueError(f"per-ED memoization needs policy P1, got {policy.id}")
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds)
 
-    rep_means = np.zeros((replications, n, 2))
-    redirects = np.zeros((replications, n))
+    # replicate rejects a bad replication count before anything is sized by it
     if ed_memo is None:
-        for k, out in enumerate(replicate(scenario, plan, policy, replications)):
+        runs = replicate(scenario, plan, policy, replications)
+        rep_means = np.zeros((replications, n, 2))
+        redirects = np.zeros((replications, n))
+        for k, out in enumerate(runs):
             for i in range(n):
                 rep_means[k, i, YELLOW] = out.mean_nva(i, YELLOW)
                 rep_means[k, i, RED] = out.mean_nva(i, RED)
             redirects[k] = out.redirects_out
     else:
-        for i in range(n):
-            key = (i, tuple(plan[i].tolist()))
+        keys = [(i, tuple(plan[i].tolist())) for i in range(n)]
+        for i, key in enumerate(keys):
             if key not in ed_memo:
                 ed_memo[key] = _solo_rep_means(scenario, plan, policy, replications, i)
-            rep_means[:, i, :] = ed_memo[key]
-        # nobody is redirected under P1, so redirects stay 0
+        rep_means = np.stack([ed_memo[key] for key in keys], axis=1)
+        redirects = np.zeros((replications, n))  # nobody is redirected under P1
 
     mean_nva = rep_means.mean(axis=0)
     half_width = np.full((n, 2), np.nan)
@@ -155,21 +155,20 @@ def _solo_rep_means(scenario, plan, policy, replications, ed):
     )
 
 
-def make_allocation_problem(scenario, policy, replications=30):
+def make_allocation_problem(scenario, policy, replications):
     """Adapt the SAA estimate to the integer solver's calling convention.
 
-    Returns (evaluate, n_vars) where evaluate maps a flat integer vector
-    to (objective, per-(ED, tag) violation vector).  The SimSummary of
+    Returns evaluate, which maps a flat integer vector (the plan's rows in
+    order) to (objective, per-(ED, tag) violation vector).  The SimSummary of
     each evaluated point is kept on evaluate.summaries for reporting.
     Under P1 the evaluations share one per-ED memo (see saa_evaluate), so
     each (ED, plan row) is simulated once per problem.
     """
-    n = scenario.n_eds
     summaries = {}
     ed_memo = {} if PolicySpec.coerce(policy).id == "P1" else None
 
     def evaluate(x):
-        plan = np.reshape(x, (n, SLOTS_PER_DAY))
+        plan = np.reshape(x, (-1, SLOTS_PER_DAY))  # check_plan checks the ED count
         summary = saa_evaluate(
             scenario, plan, policy, replications=replications, ed_memo=ed_memo
         )
@@ -177,4 +176,4 @@ def make_allocation_problem(scenario, policy, replications=30):
         return summary.objective, summary.violations.reshape(-1)
 
     evaluate.summaries = summaries
-    return evaluate, n * SLOTS_PER_DAY
+    return evaluate

@@ -91,20 +91,17 @@ def check_plan(plan, n_eds, bounds):
     return plan
 
 
-def run_replication(scenario, plan, policy, spec=None, record_patients=False):
+def run_replication(scenario, plan, policy, spec, record_patients=False):
     """Simulate the network once and return its post-warm-up statistics.
 
     scenario: a loaded Scenario (arrival processes, visit-time table,
         transfer matrix).
     plan: integer array, one row per ED, one column per daily slot.
     policy: PolicySpec or policy id string.
-    spec: ReplicationSpec (horizon, warm-up, seed); scenario.replication
-        when omitted.
+    spec: ReplicationSpec (horizon, warm-up, seed).
     record_patients: keep per-patient records of every completed visit
         (diagnostics; off by default to save memory).
     """
-    if spec is None:
-        spec = scenario.replication
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds)
@@ -119,7 +116,7 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
         )
     if thresholds is None or policy.id != "P3":
         thresholds = [None] * n
-    eds = [EDState(i, plan[i][0], thresholds[i]) for i in range(n)]
+    eds = [EDState(plan[i][0], thresholds[i]) for i in range(n)]
 
     streams = RandomStreams(spec.seed)
     times, payloads, sources = _arrival_timeline(scenario, horizon, streams)
@@ -161,7 +158,7 @@ def run_replication(scenario, plan, policy, spec=None, record_patients=False):
             patient = Patient(tag, ed_idx, clock)
             target = None
             if routing_active:
-                target = decide_routing(policy, eds, tau, order, tag, ed_idx)
+                target = decide_routing(policy, eds, order, tag, ed_idx)
             if target is None:
                 board(patient, ed_idx, clock)
             else:
@@ -243,14 +240,17 @@ def _arrival_timeline(scenario, horizon, streams):
 
 
 def replicate(scenario, plan, policy, replications):
-    """Yield the outputs of `replications` runs of one plan, in order.
+    """The outputs of `replications` runs of one plan, in order, as an iterator.
 
     The runs take the seeds following scenario.replication.seed, one each,
     so every plan evaluated on the same scenario shares its random streams
     (common random numbers).  This is the only place that maps a base seed
-    to replication seeds.
+    to replication seeds.  Fewer than one replication raises ValueError at the call.
     """
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
     base = scenario.replication
-    for k in range(replications):
-        spec = replace(base, seed=base.seed + k + 1)
-        yield run_replication(scenario, plan, policy, spec)
+    return (
+        run_replication(scenario, plan, policy, replace(base, seed=base.seed + k + 1))
+        for k in range(replications)
+    )

@@ -28,13 +28,13 @@ class BudgetExhausted(Exception):
     """Raised internally when a new evaluation would exceed the budget."""
 
 
-def _int_vector(value, dimension, name):
+def _int_vector(value, size, name):
     arr = np.asarray(value)
     if arr.ndim == 0:
-        arr = np.full(dimension, arr)
+        arr = np.full(size, arr)
     arr = np.asarray(arr, dtype=int)
-    if arr.shape != (dimension,):
-        raise ValueError(f"{name} must be a scalar or a vector of length {dimension}")
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must be a scalar or a vector of length {size}")
     return arr
 
 
@@ -44,24 +44,24 @@ class BoxedIntegerProblem:
 
     evaluate(x) takes an integer tuple and returns (f, g) where g is a
     vector of non-negative constraint violations (empty or all-zero for
-    an unconstrained problem).
+    an unconstrained problem).  The number of variables is len(start);
+    lower and upper are scalars or vectors of that length.
     """
 
-    dimension: int
     lower: np.ndarray
     upper: np.ndarray
     evaluate: callable
     start: np.ndarray
-    budget: int = 700
+    budget: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.lower = _int_vector(self.lower, self.dimension, "lower")
-        self.upper = _int_vector(self.upper, self.dimension, "upper")
+        self.start = np.asarray(self.start, dtype=int)
+        if self.start.ndim != 1 or len(self.start) < 1:
+            raise ValueError("start must be a non-empty vector")
+        self.lower = _int_vector(self.lower, len(self.start), "lower")
+        self.upper = _int_vector(self.upper, len(self.start), "upper")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bounds exceed upper bounds")
-        self.start = _int_vector(self.start, self.dimension, "start")
         if np.any(self.start < self.lower) or np.any(self.start > self.upper):
             raise ValueError("start point lies outside the box")
         if self.budget < 0:
@@ -165,7 +165,6 @@ class SolveResult:
     g: tuple
     evaluations: int
     sweeps: int
-    eps: float
     converged: bool              # True: penalty schedule stalled; False: budget
 
     @property
@@ -173,7 +172,7 @@ class SolveResult:
         return float(np.sum(self.g))
 
 
-def solve(problem, callback=None):
+def solve(problem):
     """Run penalty-tightening coordinate sweeps over the problem's box.
 
     Sweeps visit coordinates in ascending index order, trying the +
@@ -184,10 +183,8 @@ def solve(problem, callback=None):
     The evaluation budget caps black-box calls; the initial evaluation
     of the start point always runs.
     """
-    state = SolverState(
-        eps=EPS0,
-        steps=np.full(problem.dimension, INITIAL_STEP, dtype=int),
-    )
+    n = len(problem.start)
+    state = SolverState(eps=EPS0, steps=np.full(n, INITIAL_STEP, dtype=int))
     sweeps = 0
     converged = False
     try:
@@ -195,8 +192,8 @@ def solve(problem, callback=None):
         while True:
             sweeps += 1
             any_success = False
-            for coord in range(problem.dimension):
-                direction = np.zeros(problem.dimension, dtype=int)
+            for coord in range(n):
+                direction = np.zeros(n, dtype=int)
                 for sign in (1, -1):
                     direction[coord] = sign
                     x_before = np.asarray(state.incumbent, dtype=int)
@@ -207,8 +204,6 @@ def solve(problem, callback=None):
                         state.steps[coord] = step_new
                         any_success = True
                         break
-            if callback is not None:
-                callback(state, sweeps, any_success)
             if not any_success:
                 if np.all(state.steps == 1):
                     previous = state.incumbent
@@ -233,6 +228,5 @@ def solve(problem, callback=None):
         g=g_best,
         evaluations=state.evaluations,
         sweeps=sweeps,
-        eps=state.eps,
         converged=converged,
     )

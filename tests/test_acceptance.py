@@ -135,7 +135,7 @@ def test_solver_against_analytic_and_brute_force():
         return float(sum((v - 5) ** 2 for v in x)), (0.0,)
 
     problem = BoxedIntegerProblem(
-        dimension=18, lower=2, upper=10, evaluate=quad, start=[2, 10] * 9, budget=700
+        lower=2, upper=10, evaluate=quad, start=[2, 10] * 9, budget=700
     )
     result = solve(problem)
     quad_ok = result.x == (5,) * 18 and result.f == 0.0 and result.evaluations <= 700
@@ -159,7 +159,7 @@ def test_solver_against_analytic_and_brute_force():
             return f, (max(0.0, float(lj - x[j])), max(0.0, float(lk - x[k])))
 
         small = BoxedIntegerProblem(
-            dimension=dim, lower=2, upper=8, evaluate=evaluate, start=[2] * dim, budget=700
+            lower=2, upper=8, evaluate=evaluate, start=[2] * dim, budget=700
         )
         res = solve(small)
         best = min(

@@ -124,11 +124,14 @@ def test_calibrate_network_requires_real_waits():
 def test_calibrate_ed_input_validation():
     sc = network_scenario(n=2)
     with pytest.raises(ValueError):
-        calibrate_ed(sc, np.zeros((3, 2)))  # more than one ED
+        calibrate_ed(sc, np.zeros((3, 2)), replications=1)  # more than one ED
     single = _loaded_single_ed()
     with pytest.raises(ValueError):
-        calibrate_ed(single, np.zeros((2, 2)))
+        calibrate_ed(single, np.zeros((2, 2)), replications=1)
     with pytest.raises(ValueError):
-        calibrate_ed(single, np.full((3, 2), -1.0))
+        calibrate_ed(single, np.full((3, 2), -1.0), replications=1)
     with pytest.raises(ValueError):
-        calibrate_ed(single, np.zeros((3, 2)), bounds=(5, 2))
+        calibrate_ed(single, np.zeros((3, 2)), replications=1, bounds=(5, 2))
+    for replications in (0, -1):
+        with pytest.raises(ValueError, match="at least one replication"):
+            calibrate_ed(single, np.zeros((3, 2)), replications=replications)

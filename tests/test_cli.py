@@ -242,6 +242,35 @@ def test_calibrate_bounds_outside_plan_bounds_fail_first(tmp_path, capsys, monke
     assert not (tmp_path / "calibrated_plan.csv").exists()
 
 
+@pytest.mark.parametrize("replications", ["0", "-1"])
+def test_calibrate_needs_one_replication(tmp_path, capsys, replications):
+    path = tmp_path / "cal.yaml"
+    path.write_text(CALIBRATE_SCENARIO)
+    args = ["calibrate", "--scenario", str(path), "--replications", replications,
+            "--bounds", "2", "3", "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: need at least one replication, got {replications}")
+    assert not (tmp_path / "calibrated_plan.csv").exists()
+
+
+def test_calibrated_plan_for_other_eds_fails(tmp_path, capsys):
+    # same number of EDs as the scenario, other names: a plan for another network
+    path = tmp_path / "cal.yaml"
+    path.write_text(CALIBRATE_SCENARIO)
+    out = tmp_path / "out"
+    out.mkdir()
+    plan_path = out / "calibrated_plan.csv"
+    plan_path.write_text("ED,slot1,slot2,slot3\nNord,2,2,2\nSud,3,3,3\n")
+    for command in ("simulate", "optimize"):
+        args = [command, "--scenario", str(path), "--replications", "1", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan_path}: ")
+        assert "['Nord', 'Sud']" in err and "['busy', 'idle']" in err
+    assert sorted(p.name for p in out.iterdir()) == ["calibrated_plan.csv"]
+
+
 @pytest.mark.parametrize("seed", ["-5", "-1"])
 def test_negative_seed_fails(scenario_file, tmp_path, capsys, seed):
     args = ["simulate", "--scenario", str(scenario_file), "--seed", seed, "--out", str(tmp_path)]

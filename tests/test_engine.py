@@ -52,23 +52,19 @@ def test_clock_advances_and_rejects_past_events():
     cal.schedule(10.0, ARRIVAL)  # same-time scheduling stays legal
 
 
-def test_calendar_len():
+def test_calendar_empties_after_every_event():
     cal = EventCalendar()
-    assert len(cal) == 0
-    cal.schedule(1.0, ARRIVAL)
-    cal.schedule(2.0, ARRIVAL)
-    assert len(cal) == 2
-    cal.pop()
-    assert len(cal) == 1
-    # pending arrivals of the timeline count too
-    cal = EventCalendar([1.0, 2.0, 3.0], ["a", "b", "c"])
-    assert len(cal) == 3
-    cal.schedule(2.5, SERVICE_COMPLETE)
-    assert len(cal) == 4
-    cal.pop()
-    assert len(cal) == 3
-    while len(cal):
+    with pytest.raises(IndexError):
         cal.pop()
+    cal.schedule(1.0, ARRIVAL, "x")
+    cal.schedule(2.0, ARRIVAL, "y")
+    assert [cal.pop()[3] for _ in range(2)] == ["x", "y"]
+    with pytest.raises(IndexError):
+        cal.pop()
+    # pending arrivals of the timeline are events too
+    cal = EventCalendar([1.0, 2.0, 3.0], ["a", "b", "c"])
+    cal.schedule(2.5, SERVICE_COMPLETE, "s")
+    assert [cal.pop()[3] for _ in range(4)] == ["a", "b", "s", "c"]
     with pytest.raises(IndexError):
         cal.pop()
 
@@ -142,14 +138,15 @@ def test_merged_calendar_matches_all_heap_calendar(case):
     for t in reversed(scheduled):
         merged.schedule(t, SERVICE_COMPLETE, ("service", t))
         heap.schedule(t, SERVICE_COMPLETE, ("service", t))
-    assert len(merged) == len(heap) == len(times)
     got = [merged.pop() for _ in range(len(times))]
     want = [heap.pop() for _ in range(len(times))]
     assert [(t, kind, payload) for t, _, kind, payload in got] == [
         (t, kind, payload) for t, _, kind, payload in want
     ]
     assert [t for t, *_ in got] == times
-    assert len(merged) == 0
+    for cal in (merged, heap):
+        with pytest.raises(IndexError):
+            cal.pop()
 
 
 def test_replication_spec_validates_warmup():

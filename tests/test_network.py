@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ednetsim.network import (
     RED,
@@ -31,7 +33,7 @@ def test_slot_of():
 
 
 def test_admit_starts_service_when_free():
-    ed = EDState(0, capacity=2)
+    ed = EDState(capacity=2)
     p = mk()
     assert ed.admit(p, 5.0) is True
     assert p.t_service_start == 5.0
@@ -39,7 +41,7 @@ def test_admit_starts_service_when_free():
 
 
 def test_admit_queues_when_full():
-    ed = EDState(0, capacity=1)
+    ed = EDState(capacity=1)
     ed.admit(mk(), 0.0)
     p = mk(t=1.0)
     assert ed.admit(p, 1.0) is False
@@ -48,7 +50,7 @@ def test_admit_queues_when_full():
 
 
 def test_release_is_fifo_within_tag():
-    ed = EDState(0, capacity=1)
+    ed = EDState(capacity=1)
     ed.admit(mk(), 0.0)
     first, second = mk(t=1.0), mk(t=2.0)
     ed.admit(first, 1.0)
@@ -59,7 +61,7 @@ def test_release_is_fifo_within_tag():
 
 
 def test_red_has_priority_over_earlier_yellow():
-    ed = EDState(0, capacity=1)
+    ed = EDState(capacity=1)
     ed.admit(mk(), 0.0)
     yellow = mk(YELLOW, t=1.0)
     red = mk(RED, t=2.0)
@@ -70,14 +72,14 @@ def test_red_has_priority_over_earlier_yellow():
 
 
 def test_release_with_empty_queue_frees_resource():
-    ed = EDState(0, capacity=2)
+    ed = EDState(capacity=2)
     ed.admit(mk(), 0.0)
     assert ed.release(3.0) is None
     assert ed.busy == 0
 
 
 def test_capacity_drop_is_nonpreemptive():
-    ed = EDState(0, capacity=3)
+    ed = EDState(capacity=3)
     for _ in range(3):
         ed.admit(mk(), 0.0)
     assert ed.set_capacity(1, 480.0) == []
@@ -93,7 +95,7 @@ def test_capacity_drop_is_nonpreemptive():
 
 
 def test_capacity_raise_starts_queued_red_first():
-    ed = EDState(0, capacity=1)
+    ed = EDState(capacity=1)
     ed.admit(mk(), 0.0)
     y1, r1, y2 = mk(YELLOW, t=1.0), mk(RED, t=2.0), mk(YELLOW, t=3.0)
     for p in (y1, r1, y2):
@@ -125,7 +127,7 @@ def test_nearest_order():
 def _network(busy, capacity=2, thresholds=None):
     eds = []
     for i, b in enumerate(busy):
-        ed = EDState(i, capacity, None if thresholds is None else thresholds[i])
+        ed = EDState(capacity, None if thresholds is None else thresholds[i])
         ed.busy = b
         eds.append(ed)
     return eds
@@ -137,70 +139,96 @@ ORDER = nearest_order(TAU)
 
 def test_p1_always_boards():
     eds = _network([2, 0, 0])
-    assert decide_routing(PolicySpec("P1"), eds, TAU, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P1"), eds, ORDER, YELLOW, 0) is None
 
 
 def test_p2_redirects_to_nearest_when_full():
     eds = _network([2, 0, 0])
-    assert decide_routing(PolicySpec("P2"), eds, TAU, ORDER, YELLOW, 0) == 1
-    assert decide_routing(PolicySpec("P2"), eds, TAU, ORDER, RED, 0) == 1
+    assert decide_routing(PolicySpec("P2"), eds, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P2"), eds, ORDER, RED, 0) == 1
 
 
 def test_p2_boards_when_not_full_or_nearest_full():
     eds = _network([1, 0, 0])
-    assert decide_routing(PolicySpec("P2"), eds, TAU, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P2"), eds, ORDER, YELLOW, 0) is None
     eds = _network([2, 2, 0])  # nearest full, no cascade: board
-    assert decide_routing(PolicySpec("P2"), eds, TAU, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P2"), eds, ORDER, YELLOW, 0) is None
 
 
 def test_p2_cascade_tries_next_nearest():
     eds = _network([2, 2, 0])
     policy = PolicySpec("P2", cascade=True)
-    assert decide_routing(policy, eds, TAU, ORDER, YELLOW, 0) == 2
+    assert decide_routing(policy, eds, ORDER, YELLOW, 0) == 2
 
 
 def test_p3_never_redirects_red():
     eds = _network([2, 0, 0])
-    assert decide_routing(PolicySpec("P3"), eds, TAU, ORDER, RED, 0) is None
-    assert decide_routing(PolicySpec("P3"), eds, TAU, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P3"), eds, ORDER, RED, 0) is None
+    assert decide_routing(PolicySpec("P3"), eds, ORDER, YELLOW, 0) == 1
 
 
 def test_p3_partial_threshold():
     # origin at busy=1 with threshold 1 is already on diversion
     eds = _network([1, 0, 0], thresholds=[1, 2, 2])
-    assert decide_routing(PolicySpec("P3"), eds, TAU, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P3"), eds, ORDER, YELLOW, 0) == 1
     # destination on its own diversion threshold refuses the transfer
     eds = _network([2, 1, 0], thresholds=[2, 1, 2])
-    assert decide_routing(PolicySpec("P3"), eds, TAU, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P3"), eds, ORDER, YELLOW, 0) is None
 
 
 def test_p3_threshold_clipped_to_capacity():
     # threshold above capacity behaves like full occupancy
-    ed = EDState(0, capacity=2, p3_threshold=5)
+    ed = EDState(capacity=2, p3_threshold=5)
     assert ed.diversion_threshold() == 2
 
 
 def test_p4_picks_least_busy_network_wide():
     eds = _network([2, 1, 0])
-    assert decide_routing(PolicySpec("P4"), eds, TAU, ORDER, YELLOW, 0) == 2
+    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) == 2
 
 
 def test_p4_boards_when_origin_not_full_or_origin_least_busy():
     eds = _network([1, 2, 2])
-    assert decide_routing(PolicySpec("P4"), eds, TAU, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) is None
     eds = _network([2, 2, 2])  # origin ties for least busy: board
-    assert decide_routing(PolicySpec("P4"), eds, TAU, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) is None
 
 
 def test_p4_tie_breaks_by_transfer_time_then_index():
     eds = _network([2, 1, 1])
     # both candidates at busy=1; ED1 is 10 min away, ED2 is 20
-    assert decide_routing(PolicySpec("P4"), eds, TAU, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) == 1
     tau_tied = [[0.0, 15.0, 15.0], [15.0, 0.0, 15.0], [15.0, 15.0, 0.0]]
-    assert (
-        decide_routing(PolicySpec("P4"), eds, tau_tied, nearest_order(tau_tied), YELLOW, 0)
-        == 1
-    )
+    assert decide_routing(PolicySpec("P4"), eds, nearest_order(tau_tied), YELLOW, 0) == 1
+
+
+@st.composite
+def p4_networks(draw):
+    """2-6 EDs whose transfer times take three values, so distances often tie."""
+    n = draw(st.integers(2, 6))
+    tau = [
+        [0.0 if i == j else draw(st.sampled_from((5.0, 10.0, 15.0))) for j in range(n)]
+        for i in range(n)
+    ]
+    capacity = draw(st.integers(1, 3))
+    # busy may exceed capacity after a shift boundary lowers it
+    busy = draw(st.lists(st.integers(0, capacity + 1), min_size=n, max_size=n))
+    return tau, capacity, busy, draw(st.integers(0, n - 1)), draw(st.sampled_from((YELLOW, RED)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p4_networks())
+def test_p4_matches_reference_rule(case):
+    tau, capacity, busy, origin, tag = case
+    eds = _network(busy, capacity)
+    got = decide_routing(PolicySpec("P4"), eds, nearest_order(tau), tag, origin)
+    # reference: a full origin redirects when another ED is strictly less
+    # busy, to the least busy one, then the nearest, then the lowest index
+    want = None
+    if busy[origin] >= capacity and min(busy) < busy[origin]:
+        others = [j for j in range(len(busy)) if j != origin]
+        want = min(others, key=lambda j: (busy[j], tau[origin][j], j))
+    assert got == want
 
 
 def test_start_transfer_bookkeeping():

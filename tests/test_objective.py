@@ -117,16 +117,17 @@ def test_saa_single_replication_has_no_half_width():
     sc = with_replication(sc, base)
     s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=1)
     assert np.isnan(s.half_width).all()
-    with pytest.raises(ValueError):
-        saa_evaluate(sc, [[2, 2, 2]], "P1", replications=0)
+    for replications in (0, -1):
+        for memo in (None, {}):
+            with pytest.raises(ValueError, match="at least one replication"):
+                saa_evaluate(sc, [[2, 2, 2]], "P1", replications=replications, ed_memo=memo)
 
 
 def test_make_allocation_problem_round_trip():
     sc = asymmetric_pair_scenario()
     base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=50)
     sc = with_replication(sc, base)
-    evaluate, n_vars = make_allocation_problem(sc, "P2", replications=2)
-    assert n_vars == 6
+    evaluate = make_allocation_problem(sc, "P2", replications=2)
     x = (1, 1, 1, 4, 4, 4)
     f, g = evaluate(x)
     summary = evaluate.summaries[x]
@@ -189,7 +190,7 @@ def test_p1_memo_matches_whole_network_evaluation():
     sc = distinct_three_ed_scenario()
     base = ReplicationSpec(horizon=6 * 1440.0, warmup=480.0, seed=12)
     sc = with_replication(sc, base)
-    evaluate, _ = make_allocation_problem(sc, "P1", replications=3)
+    evaluate = make_allocation_problem(sc, "P1", replications=3)
     points = [
         (2, 2, 2, 3, 3, 3, 2, 3, 2),
         (2, 2, 2, 1, 3, 3, 2, 3, 2),
@@ -209,7 +210,7 @@ def test_p1_memo_simulates_each_row_once():
     sc = distinct_three_ed_scenario()
     base = ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=5)
     sc = with_replication(sc, base)
-    evaluate, _ = make_allocation_problem(sc, "P1", replications=2)
+    evaluate = make_allocation_problem(sc, "P1", replications=2)
     outputs, patch = counting_replications()
     with patch:
         evaluate((2, 2, 2, 3, 3, 3, 2, 3, 2))
@@ -228,7 +229,7 @@ def test_coupled_policies_simulate_every_evaluation():
     sc = distinct_three_ed_scenario(policy="P4")
     base = ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=5)
     sc = with_replication(sc, base)
-    evaluate, _ = make_allocation_problem(sc, "P4", replications=2)
+    evaluate = make_allocation_problem(sc, "P4", replications=2)
     outputs, patch = counting_replications()
     with patch:
         evaluate((2, 2, 2, 3, 3, 3, 2, 3, 2))
@@ -280,7 +281,7 @@ def test_p1_memo_property(case):
     sc, plan, changed, base = case
     sc = with_replication(sc, base)
     n, reps = sc.n_eds, 2
-    evaluate, _ = make_allocation_problem(sc, "P1", replications=reps)
+    evaluate = make_allocation_problem(sc, "P1", replications=reps)
     outputs, patch = counting_replications()
     with patch:
         whole = saa_evaluate(sc, plan, "P1", replications=reps)

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ednetsim import solver
 from ednetsim.solver import (
     BoxedIntegerProblem,
     SolverState,
@@ -46,17 +47,19 @@ def test_merit_examples():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        BoxedIntegerProblem(3, 2, 10, quadratic, start=[1, 5, 5])
+        BoxedIntegerProblem(2, 10, quadratic, start=[1, 5, 5], budget=10)
     with pytest.raises(ValueError):
-        BoxedIntegerProblem(3, 10, 2, quadratic, start=[5, 5, 5])
+        BoxedIntegerProblem(10, 2, quadratic, start=[5, 5, 5], budget=10)
     with pytest.raises(ValueError):
-        BoxedIntegerProblem(0, 2, 10, quadratic, start=[])
-    prob = BoxedIntegerProblem(2, [2, 3], [10, 12], quadratic, start=[5, 5])
+        BoxedIntegerProblem(2, 10, quadratic, start=[], budget=10)
+    with pytest.raises(ValueError):
+        BoxedIntegerProblem(2, 10, quadratic, start=5, budget=10)  # size comes from start
+    prob = BoxedIntegerProblem([2, 3], [10, 12], quadratic, start=[5, 5], budget=10)
     assert np.array_equal(prob.clip([1, 20]), [2, 12])
 
 
 def test_quadratic_18_vars_reaches_optimum():
-    prob = BoxedIntegerProblem(18, 2, 10, quadratic, start=[2] * 18, budget=700)
+    prob = BoxedIntegerProblem(2, 10, quadratic, start=[2] * 18, budget=700)
     res = solve(prob)
     assert res.x == (5,) * 18
     assert res.f == 0.0
@@ -66,7 +69,7 @@ def test_quadratic_18_vars_reaches_optimum():
 
 
 def test_constrained_linear_matches_brute_force():
-    prob = BoxedIntegerProblem(3, 2, 10, linear_constrained, start=[2, 2, 2], budget=100)
+    prob = BoxedIntegerProblem(2, 10, linear_constrained, start=[2, 2, 2], budget=100)
     res = solve(prob)
     assert res.x == (6, 2, 2)
     assert res.f == 10.0
@@ -96,7 +99,7 @@ def test_small_problems_match_exhaustive_enumeration(seed):
         g = [max(0.0, float(limit - (x[0] + x[1])))]
         return f, g
 
-    prob = BoxedIntegerProblem(3, 2, 8, fn, start=[2, 2, 2], budget=600)
+    prob = BoxedIntegerProblem(2, 8, fn, start=[2, 2, 2], budget=600)
     res = solve(prob)
     x_best, f_best, g_best = exhaustive_best(fn, 2, 8, 3)
     assert (res.total_violation, res.f) == (g_best, f_best)
@@ -106,7 +109,7 @@ def test_small_problems_match_exhaustive_enumeration(seed):
 def test_budget_zero_and_one_return_start():
     for budget in (0, 1):
         fn = counting(quadratic)
-        prob = BoxedIntegerProblem(3, 2, 10, fn, start=[3, 4, 5], budget=budget)
+        prob = BoxedIntegerProblem(2, 10, fn, start=[3, 4, 5], budget=budget)
         res = solve(prob)
         assert res.x == (3, 4, 5)
         assert fn.calls == [(3, 4, 5)]
@@ -116,7 +119,7 @@ def test_budget_zero_and_one_return_start():
 
 def test_budget_respected_and_cache_free():
     fn = counting(quadratic)
-    prob = BoxedIntegerProblem(6, 2, 10, fn, start=[2] * 6, budget=25)
+    prob = BoxedIntegerProblem(2, 10, fn, start=[2] * 6, budget=25)
     res = solve(prob)
     assert res.evaluations == 25
     assert len(fn.calls) == 25
@@ -124,20 +127,24 @@ def test_budget_respected_and_cache_free():
 
 
 def test_determinism():
-    prob1 = BoxedIntegerProblem(5, 2, 10, quadratic, start=[2] * 5, budget=200)
-    prob2 = BoxedIntegerProblem(5, 2, 10, quadratic, start=[2] * 5, budget=200)
+    prob1 = BoxedIntegerProblem(2, 10, quadratic, start=[2] * 5, budget=200)
+    prob2 = BoxedIntegerProblem(2, 10, quadratic, start=[2] * 5, budget=200)
     r1, r2 = solve(prob1), solve(prob2)
     assert r1.x == r2.x and r1.evaluations == r2.evaluations and r1.sweeps == r2.sweeps
 
 
-def test_incumbent_merit_nonincreasing_at_fixed_eps():
+def test_incumbent_merit_nonincreasing_at_fixed_eps(monkeypatch):
     merits = []
 
-    def watch(state, sweep, success):
+    def watched(x, d, step, problem, state):
+        result = discrete_linesearch(x, d, step, problem, state)
         merits.append((state.eps, state.incumbent_merit))
+        return result
 
-    prob = BoxedIntegerProblem(4, 2, 10, quadratic, start=[2] * 4, budget=300)
-    solve(prob, callback=watch)
+    monkeypatch.setattr(solver, "discrete_linesearch", watched)
+    prob = BoxedIntegerProblem(2, 10, quadratic, start=[2] * 4, budget=300)
+    solve(prob)
+    assert merits
     for (eps_a, m_a), (eps_b, m_b) in zip(merits, merits[1:]):
         if eps_a == eps_b:
             assert m_b <= m_a + 1e-12
@@ -147,7 +154,7 @@ def test_linesearch_expands_and_clips():
     def fn(x):
         return float(-x[0]), ()  # larger is better, pushes to the upper bound
 
-    prob = BoxedIntegerProblem(1, 0, 9, fn, start=[0], budget=50)
+    prob = BoxedIntegerProblem(0, 9, fn, start=[0], budget=50)
     state = SolverState(eps=1.0, steps=np.array([1]))
     x_new, step = discrete_linesearch(np.array([0]), np.array([1]), 1, prob, state)
     # doubling: 1, 2, 4 then clipped at the bound
@@ -156,7 +163,7 @@ def test_linesearch_expands_and_clips():
 
 
 def test_linesearch_failure_keeps_step():
-    prob = BoxedIntegerProblem(1, 2, 10, quadratic, start=[5], budget=50)
+    prob = BoxedIntegerProblem(2, 10, quadratic, start=[5], budget=50)
     state = SolverState(eps=1.0, steps=np.array([4]))
     x_new, step = discrete_linesearch(np.array([5]), np.array([1]), 4, prob, state)
     assert x_new[0] == 5 and step == 4
@@ -176,7 +183,7 @@ def test_lexicographic_reporting_prefers_feasible():
         g = [max(0.0, 5.0 - x[0])]
         return f, g
 
-    prob = BoxedIntegerProblem(1, 2, 10, fn, start=[2], budget=50)
+    prob = BoxedIntegerProblem(2, 10, fn, start=[2], budget=50)
     res = solve(prob)
     assert res.total_violation == 0.0
     assert res.x == (5,)
@@ -187,14 +194,14 @@ def test_negative_violation_rejected():
     def fn(x):
         return 0.0, [-1.0]
 
-    prob = BoxedIntegerProblem(1, 2, 10, fn, start=[5], budget=10)
+    prob = BoxedIntegerProblem(2, 10, fn, start=[5], budget=10)
     with pytest.raises(ValueError):
         solve(prob)
 
 
 def test_evaluations_within_budget_on_constrained_problem():
     fn = counting(linear_constrained)
-    prob = BoxedIntegerProblem(3, 2, 10, fn, start=[2, 2, 2], budget=12)
+    prob = BoxedIntegerProblem(2, 10, fn, start=[2, 2, 2], budget=12)
     res = solve(prob)
     assert res.evaluations <= 12
     assert len(fn.calls) == res.evaluations
