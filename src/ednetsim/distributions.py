@@ -22,6 +22,9 @@ DAY_MINUTES = 1440.0
 
 LOS_FAMILIES = ("exponential", "lognormal", "gamma", "weibull", "empirical")
 
+# Uniforms drawn per numpy call by `uniforms`.
+UNIFORM_BLOCK = 1024
+
 
 def rate_from_annual_count(count):
     """Per-minute arrival rate of a slot from its annual arrival count."""
@@ -97,6 +100,17 @@ class ArrivalProcess:
             out.append(times)
             n = max(64, n // 4)
         return np.concatenate(out) if len(out) > 1 else out[0]
+
+
+def uniforms(rng):
+    """Iterator over rng.random()'s doubles in order, drawn UNIFORM_BLOCK at a time.
+
+    PCG64 fills an array with the same doubles that successive scalar
+    calls return, so the values do not change.  Doubles past the last one
+    taken are drawn and lost, so the stream must have no other reader.
+    """
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
 
 
 def finite_number(value, name):
@@ -201,8 +215,9 @@ class LosDistribution:
         # u == 0 maps to the distribution's lower endpoint; keep samples positive
         return x if x > 0.0 else 1e-12
 
-    def sample(self, rng):
-        return self.quantile(rng.random())
+    def sample(self, source):
+        """One draw, at the next uniform of the iterator `source` (see `uniforms`)."""
+        return self.quantile(next(source))
 
 
 @dataclass

@@ -51,14 +51,39 @@ def write_plan_csv(path, ed_names, plan):
             writer.writerow([name, *[int(v) for v in row]])
 
 
+def _read_row(path, kind, row, columns, readers):
+    """The first cell of a CSV row and its other cells, read column by column.
+
+    A missing or unreadable cell is a ValueError naming the path, the row
+    (its `kind` and first cell) and the column.
+    """
+    name, *cells = row or [""]
+    if len(cells) < len(columns):
+        raise ValueError(f"{path}: {kind} {name!r}, {columns[len(cells)]}: value missing")
+    if len(cells) > len(columns):
+        raise ValueError(f"{path}: {kind} {name!r}: {len(cells)} values after {columns[-1]}")
+    values = []
+    for column, read, cell in zip(columns, readers, cells):
+        try:
+            values.append(read(cell))
+        except ValueError:
+            raise ValueError(
+                f"{path}: {kind} {name!r}, {column}: expected {read.__name__}, got {cell!r}"
+            ) from None
+    return name, values
+
+
 def read_plan_csv(path):
     """Inverse of write_plan_csv; returns (ed_names, rows)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["ED", "slot1", "slot2", "slot3"]:
         raise ValueError(f"{path}: not a capacity table")
-    names = [row[0] for row in rows[1:]]
-    plan = [[int(v) for v in row[1:]] for row in rows[1:]]
+    names, plan = [], []
+    for row in rows[1:]:
+        name, counts = _read_row(path, "ED", row, rows[0][1:], [int] * 3)
+        names.append(name)
+        plan.append(counts)
     return names, plan
 
 
@@ -79,18 +104,14 @@ def write_objective_csv(path, policy_id, f_start, f_opt, violation_opt, evaluati
 
 
 def read_objective_csv(path):
+    """Inverse of write_objective_csv; returns the row as a dict by column."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) != 2 or rows[0][:3] != ["policy", "f_start", "f_opt"]:
         raise ValueError(f"{path}: not an objective table")
-    policy, f_start, f_opt, violation, evaluations = rows[1]
-    return {
-        "policy": policy,
-        "f_start": float(f_start),
-        "f_opt": float(f_opt),
-        "total_violation_opt": float(violation),
-        "evaluations": int(evaluations),
-    }
+    columns = ["f_start", "f_opt", "total_violation_opt", "evaluations"]
+    policy, values = _read_row(path, "policy", rows[1], columns, [float] * 3 + [int])
+    return {"policy": policy, **dict(zip(columns, values))}
 
 
 def write_summary_plans_csv(path, ed_names, plans_by_policy):

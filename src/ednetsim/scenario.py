@@ -9,7 +9,7 @@ file can be fixed without reading this module.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -140,6 +140,9 @@ class Scenario:
     plan_bounds: tuple
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
+    # simulate's arrival timelines by (horizon, seed), read-only; every copy
+    # of the scenario (replace, isolate) starts with none
+    timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_eds(self):

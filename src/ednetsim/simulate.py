@@ -21,7 +21,7 @@ from .engine import (
     RandomStreams,
     SimulationLogicError,
 )
-from .distributions import SLOT_MINUTES, SLOTS_PER_DAY
+from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, uniforms
 from .network import (
     RED,
     YELLOW,
@@ -124,14 +124,15 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     # have no arrivals stay empty: they need no LOS stream and no staffing.
     routing_active = policy.id != "P1"
     staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
-    los_rngs = {i: streams.get(i, "los") for i in staffed}
+    los_uniforms = {i: uniforms(streams.get(i, "los")) for i in staffed}
     los_table = scenario.los  # [ed][tag][slot] -> LosDistribution
 
     calendar = EventCalendar(times, payloads)
-    calendar.schedule(horizon, END_OF_HORIZON)
+    pop, schedule = calendar.pop, calendar.schedule
+    schedule(horizon, END_OF_HORIZON)
     boundary = SLOT_MINUTES
     while boundary < horizon:
-        calendar.schedule(boundary, SLOT_BOUNDARY)
+        schedule(boundary, SLOT_BOUNDARY)
         boundary += SLOT_MINUTES
 
     nva = [[[[] for _ in range(SLOTS_PER_DAY)] for _ in range(2)] for _ in range(n)]
@@ -141,7 +142,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
 
     def start_service(patient, ed_idx, clock):
         dist = los_table[ed_idx][patient.tag][patient.entry_slot]
-        calendar.schedule(clock + dist.sample(los_rngs[ed_idx]), SERVICE_COMPLETE, patient)
+        schedule(clock + dist.sample(los_uniforms[ed_idx]), SERVICE_COMPLETE, patient)
 
     def board(patient, ed_idx, clock):
         patient.serving = ed_idx
@@ -150,7 +151,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             start_service(patient, ed_idx, clock)
 
     while True:
-        clock, _, kind, payload = calendar.pop()
+        clock, _, kind, payload = pop()
 
         if kind == ARRIVAL:
             ed_idx, tag = payload
@@ -165,7 +166,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
                 if clock >= warmup:
                     redirects_out[ed_idx] += 1
                 minutes = start_transfer(patient, ed_idx, target, tau)
-                calendar.schedule(clock + minutes, TRANSFER_COMPLETE, patient)
+                schedule(clock + minutes, TRANSFER_COMPLETE, patient)
 
         elif kind == SERVICE_COMPLETE:
             patient = payload
@@ -222,7 +223,13 @@ def _arrival_timeline(scenario, horizon, streams):
     The (ED, tag) streams are generated in ED then tag order and merged by
     a stable sort, so simultaneous arrivals keep that order.  A payload is
     the arrival's (ED index, tag); sources lists the pairs with arrivals.
+    The arrivals depend on the scenario, horizon and seed alone, so they
+    are drawn once per (horizon, seed) and kept, read-only, on
+    scenario.timelines; a kept timeline leaves the arrival streams unused.
     """
+    kept = scenario.timelines
+    if (horizon, streams.seed) in kept:
+        return kept[horizon, streams.seed]
     keys, chunks = [], []
     for i in range(scenario.n_eds):
         for tag, purpose in ((YELLOW, "arrival-yellow"), (RED, "arrival-red")):
@@ -236,7 +243,11 @@ def _arrival_timeline(scenario, horizon, streams):
     times = np.concatenate([np.empty(0), *chunks])
     source = np.repeat(np.arange(len(keys)), [len(c) for c in chunks])
     order = np.argsort(times, kind="stable")
-    return times[order], [keys[k] for k in source[order].tolist()], keys
+    times = times[order]
+    times.flags.writeable = False
+    timeline = times, tuple(keys[k] for k in source[order].tolist()), tuple(keys)
+    kept[horizon, streams.seed] = timeline
+    return timeline
 
 
 def replicate(scenario, plan, policy, replications):

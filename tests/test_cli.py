@@ -271,6 +271,47 @@ def test_calibrated_plan_for_other_eds_fails(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["calibrated_plan.csv"]
 
 
+ONE_ED_WITHOUT_PLAN = """
+eds:
+  - name: A
+    arrivals:
+      yellow: {rates: [0.05, 0.05, 0.05]}
+    los:
+      yellow: {family: exponential, mean: 30}
+      red: {family: exponential, mean: 30}
+plan_bounds: [1, 6]
+replication: {horizon_days: 2, warmup_minutes: 0}
+"""
+
+
+@pytest.mark.parametrize("row, column", [("A,2,x,2", "slot2"), ("A,2,2", "slot3")])
+def test_bad_calibrated_plan_row_names_file(tmp_path, capsys, row, column):
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_ED_WITHOUT_PLAN)
+    out = tmp_path / "out"
+    out.mkdir()
+    plan_path = out / "calibrated_plan.csv"
+    plan_path.write_text(f"ED,slot1,slot2,slot3\n{row}\n")
+    args = ["simulate", "--scenario", str(path), "--replications", "1", "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan_path}: ED 'A', {column}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["calibrated_plan.csv"]
+
+
+def test_bad_objective_value_names_file(tmp_path, capsys):
+    (tmp_path / "optimal_plan_P1.csv").write_text("ED,slot1,slot2,slot3\nA,2,2,2\n")
+    obj_path = tmp_path / "objective_P1.csv"
+    obj_path.write_text(
+        "policy,f_start,f_opt,total_violation_opt,evaluations\nP1,abc,1.00,0.00,3\n"
+    )
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {obj_path}: policy 'P1', f_start: ")
+    assert "'abc'" in err
+    assert not (tmp_path / "summary_objectives.csv").exists()
+
+
 @pytest.mark.parametrize("seed", ["-5", "-1"])
 def test_negative_seed_fails(scenario_file, tmp_path, capsys, seed):
     args = ["simulate", "--scenario", str(scenario_file), "--seed", seed, "--out", str(tmp_path)]

@@ -8,11 +8,13 @@ import pytest
 from ednetsim.distributions import (
     SLOT_MINUTES,
     SLOTS_PER_DAY,
+    UNIFORM_BLOCK,
     ArrivalProcess,
     LosDistribution,
     rate_from_annual_count,
     summarize,
     t_critical,
+    uniforms,
 )
 from ednetsim.engine import RandomStreams
 
@@ -117,12 +119,21 @@ def test_nhpp_slot_counts_match_rates():
     assert np.all(np.abs(observed - expected) / expected < 0.02)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_block_uniforms_equal_scalar_draws(seed):
+    # two and a half blocks: the sequence runs on across block boundaries
+    n = 2 * UNIFORM_BLOCK + UNIFORM_BLOCK // 2
+    scalar = np.random.Generator(np.random.PCG64(seed))
+    source = uniforms(np.random.Generator(np.random.PCG64(seed)))
+    assert [next(source) for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+
 def test_exponential_los():
     dist = LosDistribution("exponential", {"mean": 30.0})
     assert dist.quantile(0.0) == pytest.approx(1e-12)
     assert dist.quantile(1.0 - math.exp(-1.0)) == pytest.approx(30.0)
-    rng = np.random.default_rng(8)
-    draws = [dist.sample(rng) for _ in range(20000)]
+    source = uniforms(np.random.default_rng(8))
+    draws = [dist.sample(source) for _ in range(20000)]
     assert np.mean(draws) == pytest.approx(30.0, rel=0.03)
 
 
@@ -133,8 +144,8 @@ def test_lognormal_parameterizations_agree():
     for u in (0.1, 0.5, 0.9):
         assert by_moments.quantile(u) == pytest.approx(direct.quantile(u))
     # moments recovered by sampling
-    rng = np.random.default_rng(2)
-    draws = np.array([by_moments.sample(rng) for _ in range(40000)])
+    source = uniforms(np.random.default_rng(2))
+    draws = np.array([by_moments.sample(source) for _ in range(40000)])
     assert draws.mean() == pytest.approx(100.0, rel=0.03)
     assert draws.std() / draws.mean() == pytest.approx(0.8, rel=0.05)
 
@@ -143,8 +154,8 @@ def test_gamma_mean_cv():
     dist = LosDistribution("gamma", {"mean": 60.0, "cv": 0.5})
     assert dist.params["shape"] == pytest.approx(4.0)
     assert dist.params["scale"] == pytest.approx(15.0)
-    rng = np.random.default_rng(4)
-    draws = np.array([dist.sample(rng) for _ in range(30000)])
+    source = uniforms(np.random.default_rng(4))
+    draws = np.array([dist.sample(source) for _ in range(30000)])
     assert draws.mean() == pytest.approx(60.0, rel=0.03)
 
 

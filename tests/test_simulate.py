@@ -1,6 +1,7 @@
 """Replication-driver tests: conservation, warm-up, determinism, policies."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ednetsim import ReplicationSpec, parse_scenario, run_replication, saa_evaluate
 from ednetsim.calibrate import simulated_waits
+from ednetsim.distributions import ArrivalProcess
 from ednetsim.network import RED, YELLOW
 
 from util import (
@@ -247,3 +249,114 @@ def test_six_ed_outputs_pinned():
         assert (s.redirects.sum() > 0) == (policy != "P1")
         got[policy] = _digest(s)
     assert got == PINNED_LAZIO
+
+
+def _families_scenario(policy):
+    """3-ED network whose visit times use every LOS family but exponential."""
+    from ednetsim import scenario_from_dict
+
+    def ed(name, rate, yellow, red):
+        return {
+            "name": name,
+            "arrivals": {"yellow": {"rates": [rate] * 3}, "red": {"rates": [rate / 5] * 3}},
+            "los": {"yellow": yellow, "red": red},
+        }
+
+    return scenario_from_dict(
+        {
+            "eds": [
+                ed(
+                    "gamma",
+                    0.06,
+                    {"family": "gamma", "mean": 55.0, "cv": 0.7},
+                    {"family": "weibull", "shape": 1.5, "scale": 50.0},
+                ),
+                ed(
+                    "per-slot",
+                    0.05,
+                    [
+                        {"family": "gamma", "shape": 2.0, "scale": 25.0},
+                        {"family": "empirical", "values": [20.0, 35.0, 60.0, 90.0]},
+                        {"family": "weibull", "shape": 0.9, "scale": 45.0},
+                    ],
+                    {"family": "empirical", "values": [15.0, 40.0, 70.0]},
+                ),
+                ed(
+                    "mixed",
+                    0.07,
+                    {"family": "weibull", "shape": 2.5, "scale": 60.0},
+                    {"family": "gamma", "shape": 3.0, "scale": 12.0},
+                ),
+            ],
+            "transfer_minutes": [[0, 12, 20], [12, 0, 15], [20, 15, 0]],
+            "policy": policy,
+            "plan_bounds": [1, 20],
+            "replication": {"horizon_days": 10, "warmup_minutes": 480, "seed": 23},
+        }
+    )
+
+
+# sha256 of saa_evaluate's (rep_means, redirects) on _families_scenario;
+# any change to how gamma, weibull, empirical or per-slot visit times are
+# drawn moves them.
+PINNED_LOS_FAMILIES = {
+    "P1": "34cad31f81b85cbcaadb12f4882c98d848fa04abdfd3946db4b7d7cb4ffdbf9b",
+    "P4": "56ec419b2e5eacfea968782e64e3ee2d79b439bca6d8481a02734edaf3b418aa",
+}
+
+
+def test_los_families_outputs_pinned():
+    plan = np.array([[3, 4, 3], [3, 3, 4], [4, 4, 3]])
+    got = {}
+    for policy in PINNED_LOS_FAMILIES:
+        s = saa_evaluate(_families_scenario(policy), plan, policy, replications=3)
+        assert (s.redirects.sum() > 0) == (policy != "P1")
+        got[policy] = _digest(s)
+    assert got == PINNED_LOS_FAMILIES
+
+
+def _summary_arrays(s):
+    return [s.plan, s.rep_means, s.mean_nva, s.half_width, s.violations, s.redirects]
+
+
+def test_repeated_evaluation_reuses_arrivals_bit_for_bit():
+    sc = with_replication(network_scenario(n=3, policy="P4"), short_spec(seed=12, days=5))
+    plan = plan_for(sc, 3)
+    first = saa_evaluate(sc, plan, "P4", replications=3)
+    assert sorted(sc.timelines) == [(5 * 1440.0, 13 + k) for k in range(3)]
+    second = saa_evaluate(sc, plan, "P4", replications=3)
+    for a, b in zip(_summary_arrays(first), _summary_arrays(second)):
+        assert a.tobytes() == b.tobytes()
+    assert first.objective == second.objective
+
+
+def test_replaced_arrivals_are_drawn_afresh():
+    spec = short_spec(seed=3, days=5)
+    busier = ArrivalProcess([0.09, 0.12, 0.06])
+    sc = with_replication(network_scenario(n=2, policy="P2"), spec)
+    plan = plan_for(sc, 2)
+    before = saa_evaluate(sc, plan, "P2", replications=2)
+    assert sc.timelines
+    copy = replace(sc, arrivals=[(busier, a[1]) for a in sc.arrivals])
+    assert not copy.timelines
+    fresh = network_scenario(n=2, rates_yellow=(0.09, 0.12, 0.06), policy="P2")
+    fresh = with_replication(fresh, spec)
+    got = saa_evaluate(copy, plan, "P2", replications=2)
+    want = saa_evaluate(fresh, plan, "P2", replications=2)
+    assert _digest(got) == _digest(want)
+    assert _digest(got) != _digest(before)
+
+
+def test_kept_timeline_survives_a_replication():
+    sc = network_scenario(n=3, policy="P3")
+    spec = short_spec(seed=8, days=4)
+    first = run_replication(sc, plan_for(sc, 2), "P3", spec)
+    times, payloads, sources = sc.timelines[(spec.horizon, spec.seed)]
+    kept = (times.copy(), list(payloads), list(sources))
+    assert not times.flags.writeable
+    again = run_replication(sc, plan_for(sc, 2), "P3", spec)
+    assert sc.timelines[(spec.horizon, spec.seed)][0] is times
+    assert times.tobytes() == kept[0].tobytes()
+    assert (list(payloads), list(sources)) == kept[1:]
+    assert len(times) == again.created == first.created
+    assert again.nva == first.nva
