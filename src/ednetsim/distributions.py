@@ -9,6 +9,7 @@ Exp(1) draw per arrival.
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,8 +23,9 @@ DAY_MINUTES = 1440.0
 
 LOS_FAMILIES = ("exponential", "lognormal", "gamma", "weibull", "empirical")
 
-# Uniforms drawn per numpy call by `uniforms`.
+# Uniforms drawn per numpy call by `LosStore`.
 UNIFORM_BLOCK = 1024
+_UNSET_BLOCK = array("d", [math.nan]) * UNIFORM_BLOCK
 
 
 def rate_from_annual_count(count):
@@ -100,17 +102,6 @@ class ArrivalProcess:
             out.append(times)
             n = max(64, n // 4)
         return np.concatenate(out) if len(out) > 1 else out[0]
-
-
-def uniforms(rng):
-    """Iterator over rng.random()'s doubles in order, drawn UNIFORM_BLOCK at a time.
-
-    PCG64 fills an array with the same doubles that successive scalar
-    calls return, so the values do not change.  Doubles past the last one
-    taken are drawn and lost, so the stream must have no other reader.
-    """
-    while True:
-        yield from rng.random(UNIFORM_BLOCK).tolist()
 
 
 def finite_number(value, name):
@@ -215,9 +206,49 @@ class LosDistribution:
         # u == 0 maps to the distribution's lower endpoint; keep samples positive
         return x if x > 0.0 else 1e-12
 
-    def sample(self, source):
-        """One draw, at the next uniform of the iterator `source` (see `uniforms`)."""
-        return self.quantile(next(source))
+    def sample(self, uniforms, k):
+        """The draw at the k-th uniform of a stream: quantile(uniforms[k])."""
+        return self.quantile(uniforms[k])
+
+
+class LosStore:
+    """The LOS values one ED's visit-time stream gives under one replication seed.
+
+    The k-th service start at the ED takes the k-th uniform of the stream,
+    so its LOS under a distribution is dist.sample(uniforms, k), whatever
+    the plan.  The store draws the uniforms UNIFORM_BLOCK at a time (PCG64
+    fills an array with the same doubles as successive scalar calls, and
+    the stream has no other reader) and keeps one row of values per
+    distinct distribution of the ED, NaN until the first replication that
+    needs that (distribution, k) computes it.
+
+    rng: the ED's visit-time stream for the seed.
+    los: the ED's [tag][slot] table of LosDistribution.
+    cells: the same table of (distribution, its row of values); equal
+        distributions share a row.
+    """
+
+    def __init__(self, rng, los):
+        self._rng = rng
+        self.uniforms = array("d")
+        distinct, self.rows = [], []
+        for dist in (d for slots in los for d in slots):
+            if dist not in distinct:
+                distinct.append(dist)
+                self.rows.append(array("d"))
+        self.cells = [[(d, self.rows[distinct.index(d)]) for d in slots] for slots in los]
+
+    def value(self, tag, slot, k):
+        """The LOS of the k-th service start under the (tag, slot) distribution."""
+        dist, values = self.cells[tag][slot]
+        while k >= len(values):
+            self.uniforms.frombytes(self._rng.random(UNIFORM_BLOCK).tobytes())
+            for row in self.rows:
+                row.extend(_UNSET_BLOCK)
+        x = values[k]
+        if x != x:
+            x = values[k] = dist.sample(self.uniforms, k)
+        return x
 
 
 @dataclass

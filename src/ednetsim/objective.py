@@ -91,7 +91,10 @@ def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
         evaluations of one scenario and replication count.  Under P1 an
         ED's estimate depends on its own row alone, so rows missing from
         the memo are simulated one ED at a time and added, and the others
-        are not simulated again.
+        are not simulated again.  The memo also keeps, under the ED index
+        alone, the ED's solo copy of the scenario that those runs use, so
+        every row of the ED shares its kept arrivals and LOS values.  A
+        row kept for another replication count raises ValueError.
     """
     policy = PolicySpec.coerce(policy)
     if ed_memo is not None and policy.id != "P1":
@@ -113,7 +116,14 @@ def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
         keys = [(i, tuple(plan[i].tolist())) for i in range(n)]
         for i, key in enumerate(keys):
             if key not in ed_memo:
-                ed_memo[key] = _solo_rep_means(scenario, plan, policy, replications, i)
+                if i not in ed_memo:
+                    ed_memo[i] = _solo(scenario, i)
+                ed_memo[key] = _solo_rep_means(ed_memo[i], plan, policy, replications, i)
+            elif len(ed_memo[key]) != replications:
+                raise ValueError(
+                    f"the P1 memo holds {len(ed_memo[key])} replications per plan row, "
+                    f"asked for {replications}"
+                )
         rep_means = np.stack([ed_memo[key] for key in keys], axis=1)
         redirects = np.zeros((replications, n))  # nobody is redirected under P1
 
@@ -136,17 +146,21 @@ def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
     )
 
 
-def _solo_rep_means(scenario, plan, policy, replications, ed):
-    """Per-replication mean NVA of one ED with every other ED's arrivals removed.
+def _solo(scenario, ed):
+    """The scenario with every other ED's arrivals removed.
 
-    Streams stay keyed by the ED's own index, so under P1 the result is
+    Streams stay keyed by the ED's own index, so under P1 its runs are
     bit-identical to that ED's share of a whole-network run (unlike
     Scenario.isolate, which moves the ED to index 0).
     """
-    solo = replace(
+    return replace(
         scenario,
         arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
     )
+
+
+def _solo_rep_means(solo, plan, policy, replications, ed):
+    """Per-replication mean NVA of one ED, run on its solo copy (see _solo)."""
     return np.array(
         [
             (out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED))

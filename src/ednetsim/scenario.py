@@ -140,9 +140,11 @@ class Scenario:
     plan_bounds: tuple
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
-    # simulate's arrival timelines by (horizon, seed), read-only; every copy
-    # of the scenario (replace, isolate) starts with none
+    # simulate's arrival timelines by (horizon, seed), read-only, and its
+    # LosStore by (seed, ED); every copy of the scenario (replace, isolate)
+    # starts with none
     timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    los_values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_eds(self):

@@ -21,7 +21,7 @@ from .engine import (
     RandomStreams,
     SimulationLogicError,
 )
-from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, uniforms
+from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, LosStore
 from .network import (
     RED,
     YELLOW,
@@ -78,17 +78,17 @@ def check_plan(plan, n_eds, bounds):
         raise ValueError(
             f"resource plan must have shape ({n_eds}, {SLOTS_PER_DAY}), got {plan.shape}"
         )
-    if not np.issubdtype(plan.dtype, np.integer):
-        if not np.all(plan == np.floor(plan)):
-            raise ValueError("resource plan entries must be integers")
-        plan = plan.astype(int)
+    integral = np.issubdtype(plan.dtype, np.integer)
+    if not integral and not np.all(plan == np.floor(plan)):
+        raise ValueError("resource plan entries must be integers")
+    # bounds are checked before the cast, which would wrap inf or 1e30
     lo, hi = bounds
     if plan.min() < lo or plan.max() > hi:
         raise ValueError(
             f"resource plan entries must lie in [{lo}, {hi}], got range "
             f"[{plan.min()}, {plan.max()}]"
         )
-    return plan
+    return plan if integral else plan.astype(int)
 
 
 def run_replication(scenario, plan, policy, spec, record_patients=False):
@@ -124,8 +124,8 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     # have no arrivals stay empty: they need no LOS stream and no staffing.
     routing_active = policy.id != "P1"
     staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
-    los_uniforms = {i: uniforms(streams.get(i, "los")) for i in staffed}
-    los_table = scenario.los  # [ed][tag][slot] -> LosDistribution
+    los = {i: _los_store(scenario, streams, i) for i in staffed}
+    starts = [0] * n  # service starts so far, per ED
 
     calendar = EventCalendar(times, payloads)
     pop, schedule = calendar.pop, calendar.schedule
@@ -141,8 +141,10 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     records = [] if record_patients else None
 
     def start_service(patient, ed_idx, clock):
-        dist = los_table[ed_idx][patient.tag][patient.entry_slot]
-        schedule(clock + dist.sample(los_uniforms[ed_idx]), SERVICE_COMPLETE, patient)
+        k = starts[ed_idx]
+        starts[ed_idx] = k + 1
+        los_minutes = los[ed_idx].value(patient.tag, patient.entry_slot, k)
+        schedule(clock + los_minutes, SERVICE_COMPLETE, patient)
 
     def board(patient, ed_idx, clock):
         patient.serving = ed_idx
@@ -248,6 +250,20 @@ def _arrival_timeline(scenario, horizon, streams):
     timeline = times, tuple(keys[k] for k in source[order].tolist()), tuple(keys)
     kept[horizon, streams.seed] = timeline
     return timeline
+
+
+def _los_store(scenario, streams, ed):
+    """The ED's LosStore for the replication seed, kept on scenario.los_values.
+
+    LOS values depend on the ED's distributions, the seed and the index of
+    the service start alone, so the store made for the first replication
+    on a seed serves every later plan; its stream is made once.
+    """
+    key = streams.seed, ed
+    store = scenario.los_values.get(key)
+    if store is None:
+        store = scenario.los_values[key] = LosStore(streams.get(ed, "los"), scenario.los[ed])
+    return store
 
 
 def replicate(scenario, plan, policy, replications):

@@ -11,10 +11,10 @@ from ednetsim.distributions import (
     UNIFORM_BLOCK,
     ArrivalProcess,
     LosDistribution,
+    LosStore,
     rate_from_annual_count,
     summarize,
     t_critical,
-    uniforms,
 )
 from ednetsim.engine import RandomStreams
 
@@ -124,16 +124,20 @@ def test_block_uniforms_equal_scalar_draws(seed):
     # two and a half blocks: the sequence runs on across block boundaries
     n = 2 * UNIFORM_BLOCK + UNIFORM_BLOCK // 2
     scalar = np.random.Generator(np.random.PCG64(seed))
-    source = uniforms(np.random.Generator(np.random.PCG64(seed)))
-    assert [next(source) for _ in range(n)] == [scalar.random() for _ in range(n)]
+    dist = LosDistribution("exponential", {"mean": 30.0})
+    store = LosStore(np.random.Generator(np.random.PCG64(seed)), [[dist] * SLOTS_PER_DAY] * 2)
+    values = [store.value(0, 0, k) for k in range(n)]
+    draws = [scalar.random() for _ in range(n)]
+    assert store.uniforms.tolist()[:n] == draws
+    assert values == [dist.quantile(u) for u in draws]
 
 
 def test_exponential_los():
     dist = LosDistribution("exponential", {"mean": 30.0})
     assert dist.quantile(0.0) == pytest.approx(1e-12)
     assert dist.quantile(1.0 - math.exp(-1.0)) == pytest.approx(30.0)
-    source = uniforms(np.random.default_rng(8))
-    draws = [dist.sample(source) for _ in range(20000)]
+    u = np.random.default_rng(8).random(20000).tolist()
+    draws = [dist.sample(u, k) for k in range(20000)]
     assert np.mean(draws) == pytest.approx(30.0, rel=0.03)
 
 
@@ -144,8 +148,8 @@ def test_lognormal_parameterizations_agree():
     for u in (0.1, 0.5, 0.9):
         assert by_moments.quantile(u) == pytest.approx(direct.quantile(u))
     # moments recovered by sampling
-    source = uniforms(np.random.default_rng(2))
-    draws = np.array([by_moments.sample(source) for _ in range(40000)])
+    u = np.random.default_rng(2).random(40000).tolist()
+    draws = np.array([by_moments.sample(u, k) for k in range(40000)])
     assert draws.mean() == pytest.approx(100.0, rel=0.03)
     assert draws.std() / draws.mean() == pytest.approx(0.8, rel=0.05)
 
@@ -154,8 +158,8 @@ def test_gamma_mean_cv():
     dist = LosDistribution("gamma", {"mean": 60.0, "cv": 0.5})
     assert dist.params["shape"] == pytest.approx(4.0)
     assert dist.params["scale"] == pytest.approx(15.0)
-    source = uniforms(np.random.default_rng(4))
-    draws = np.array([dist.sample(source) for _ in range(30000)])
+    u = np.random.default_rng(4).random(30000).tolist()
+    draws = np.array([dist.sample(u, k) for k in range(30000)])
     assert draws.mean() == pytest.approx(60.0, rel=0.03)
 
 

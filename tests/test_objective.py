@@ -17,6 +17,7 @@ from ednetsim import (
     scenario_from_dict,
     simulate,
 )
+from ednetsim.distributions import ArrivalProcess
 from ednetsim.network import RED, YELLOW
 
 from util import asymmetric_pair_scenario, exp_los, single_ed_scenario, with_replication
@@ -238,6 +239,39 @@ def test_coupled_policies_simulate_every_evaluation():
     assert len(outputs) == 3 * 2
     with pytest.raises(ValueError, match="P1"):
         saa_evaluate(sc, np.full((3, 3), 2), "P4", replications=1, ed_memo={})
+
+
+def test_p1_memo_rejects_another_replication_count():
+    sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
+    plan = np.full((3, 3), 2)
+    memo = {}
+    saa_evaluate(sc, plan, "P1", replications=3, ed_memo=memo)
+    with pytest.raises(ValueError, match="holds 3 replications per plan row, asked for 2"):
+        saa_evaluate(sc, plan, "P1", replications=2, ed_memo=memo)
+
+
+def test_p1_memo_draws_each_arrival_stream_once():
+    # every row of an ED runs on one solo copy of the scenario, which keeps
+    # that ED's arrival timelines for all of them
+    sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
+    evaluate = make_allocation_problem(sc, "P1", replications=2)
+    drawn = []
+    original = ArrivalProcess.arrival_times
+
+    def arrival_times(self, horizon, rng):
+        drawn.append(tuple(rng.bit_generator.seed_seq.entropy))  # (seed, ED, purpose)
+        return original(self, horizon, rng)
+
+    with mock.patch.object(ArrivalProcess, "arrival_times", arrival_times):
+        for x in [
+            (2, 2, 2, 3, 3, 3, 2, 3, 2),
+            (2, 2, 2, 4, 3, 3, 2, 3, 2),
+            (3, 2, 2, 4, 3, 3, 2, 3, 2),
+            (3, 2, 2, 4, 3, 3, 1, 1, 1),
+        ]:
+            evaluate(x)
+    # three EDs, two tags with arrivals each, two replication seeds
+    assert len(drawn) == len(set(drawn)) == 3 * 2 * 2
 
 
 @st.composite

@@ -1,15 +1,25 @@
 """Replication-driver tests: conservation, warm-up, determinism, policies."""
 
 import hashlib
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ednetsim import ReplicationSpec, parse_scenario, run_replication, saa_evaluate
+from ednetsim import (
+    ReplicationSpec,
+    parse_scenario,
+    run_replication,
+    saa_evaluate,
+    scenario_from_dict,
+)
 from ednetsim.calibrate import simulated_waits
-from ednetsim.distributions import ArrivalProcess
+from ednetsim.cli import _seeded
+from ednetsim.distributions import ArrivalProcess, LosDistribution
 from ednetsim.network import RED, YELLOW
 
 from util import (
@@ -138,6 +148,10 @@ def test_plan_validation():
         run_replication(sc, np.array([[2.5, 2.0, 2.0]]), "P1", short_spec())
     with pytest.raises(ValueError):
         saa_evaluate(with_replication(sc, short_spec()), [[2.5, 2, 2]], "P1", replications=1)
+    # out-of-range floats are reported as given, never cast to int first
+    for entry, shown in ((math.inf, "inf"), (1e30, "1e+30")):
+        with pytest.raises(ValueError, match=re.escape(f"[2, 10], got range [2.0, {shown}]")):
+            run_replication(sc, np.array([[entry, 2, 2]]), "P1", short_spec())
 
 
 def test_replication_k_runs_on_seed_base_plus_k_plus_one():
@@ -360,3 +374,112 @@ def test_kept_timeline_survives_a_replication():
     assert (list(payloads), list(sources)) == kept[1:]
     assert len(times) == again.created == first.created
     assert again.nva == first.nva
+
+
+def counting_los_samples():
+    """Patches LosDistribution.sample to record (distribution, k) of every call."""
+    calls = []
+    original = LosDistribution.sample
+
+    def sample(self, uniforms, k):
+        calls.append((self, k))
+        return original(self, uniforms, k)
+
+    return calls, mock.patch.object(LosDistribution, "sample", sample)
+
+
+def computed_los(sc):
+    """Every kept LOS value of the scenario, by (seed, ED, row, k)."""
+    return {
+        (seed, ed, r, k): x
+        for (seed, ed), store in sc.los_values.items()
+        for r, row in enumerate(store.rows)
+        for k, x in enumerate(row)
+        if x == x
+    }
+
+
+def _loaded_network(policy):
+    sc = network_scenario(n=3, rates_yellow=(0.05, 0.1, 0.05), policy=policy)
+    return with_replication(sc, short_spec(seed=31, days=5))
+
+
+@pytest.mark.parametrize("policy", ["P1", "P4"])
+def test_one_shot_evaluation_computes_each_los_value_once(policy):
+    # the three replications start service 1,148 times under P1 and 1,147
+    # under P4, and each start computes its own value: no more, no fewer
+    sc = _loaded_network(policy)
+    calls, patch = counting_los_samples()
+    with patch:
+        saa_evaluate(sc, plan_for(sc, 1), policy, replications=3)
+    assert len(calls) == {"P1": 1148, "P4": 1147}[policy]
+    assert len(computed_los(sc)) == len(calls)
+    assert sorted(sc.los_values) == [(32 + k, ed) for k in range(3) for ed in range(3)]
+
+
+def test_second_plan_computes_only_new_los_values():
+    sc = _loaded_network("P4")
+    saa_evaluate(sc, plan_for(sc, 1), "P4", replications=3)
+    before = computed_los(sc)
+    calls, patch = counting_los_samples()
+    plan = np.array([[2, 3, 1], [1, 2, 2], [3, 1, 2]])
+    with patch:
+        got = saa_evaluate(sc, plan, "P4", replications=3)
+    after = computed_los(sc)
+    assert calls and len(calls) == len(after) - len(before)
+    assert after.items() >= before.items()
+    want = saa_evaluate(_loaded_network("P4"), plan, "P4", replications=3)
+    for a, b in zip(_summary_arrays(got), _summary_arrays(want)):
+        assert a.tobytes() == b.tobytes()
+    assert got.objective == want.objective
+
+
+def test_kept_los_values_survive_a_replication():
+    sc = network_scenario(n=3, policy="P3")
+    spec = short_spec(seed=8, days=4)
+    run_replication(sc, plan_for(sc, 2), "P3", spec)
+    stores = dict(sc.los_values)
+    uniforms = {key: store.uniforms.tobytes() for key, store in stores.items()}
+    values = computed_los(sc)
+    run_replication(sc, np.array([[1, 2, 1], [3, 1, 2], [1, 1, 4]]), "P3", spec)
+    assert sc.los_values == stores
+    for key, store in stores.items():
+        assert store.uniforms.tobytes()[: len(uniforms[key])] == uniforms[key]
+    assert computed_los(sc).items() >= values.items()
+
+
+def test_copies_start_with_no_los_values():
+    sc = network_scenario(n=2, policy="P2")
+    run_replication(sc, plan_for(sc, 2), "P2", short_spec(seed=4, days=3))
+    assert sc.los_values
+    for copy in (replace(sc), sc.isolate(1), _seeded(sc, 11), with_replication(sc, short_spec())):
+        assert copy.los_values == {}
+
+
+def test_per_slot_los_table_keeps_one_row_per_distinct_distribution():
+    yellow = [
+        {"family": "gamma", "shape": 2.0, "scale": 25.0},
+        {"family": "exponential", "mean": 40.0},
+        {"family": "gamma", "shape": 2.0, "scale": 25.0},
+    ]
+    sc = scenario_from_dict(
+        {
+            "eds": [
+                {
+                    "name": "A",
+                    "arrivals": {"yellow": {"rates": [0.05, 0.05, 0.05]}},
+                    "los": {"yellow": yellow, "red": {"family": "exponential", "mean": 40.0}},
+                }
+            ],
+            "plan_bounds": [1, 6],
+        }
+    )
+    run_replication(sc, plan_for(sc, 2), "P1", short_spec(seed=3, days=3))
+    (store,) = sc.los_values.values()
+    assert len(store.rows) == 2
+    gamma, exponential = store.rows
+    assert [[row for _, row in slots] for slots in store.cells] == [
+        [gamma, exponential, gamma],
+        [exponential] * 3,
+    ]
+    assert [[dist for dist, _ in slots] for slots in store.cells] == list(map(list, sc.los[0]))
