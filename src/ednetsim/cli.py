@@ -58,6 +58,13 @@ def _starting_plan(scenario, out_dir):
             raise ValueError(
                 f"{path}: plan is for EDs {names}, scenario has EDs {scenario.ed_names}"
             )
+        lo, hi = scenario.plan_bounds
+        for name, row in zip(names, plan):
+            for slot, count in enumerate(row, 1):
+                if not lo <= count <= hi:
+                    raise ValueError(
+                        f"{path}: ED {name!r}, slot{slot}: {count} outside plan_bounds [{lo}, {hi}]"
+                    )
         return np.array(plan, dtype=int)
     raise ValueError(
         "no starting plan: add starting_plan to the scenario or run calibrate first"

@@ -65,12 +65,16 @@ class ArrivalProcess:
 
     def _invert(self, u):
         """Inverse of the cumulative intensity (vectorized)."""
-        days, rem = np.divmod(u, self.day_intensity)
+        # under a near-zero intensity (below about 1e-305 per day) u maps past
+        # the largest float: that arrival lies at +inf, after every horizon
+        with np.errstate(over="ignore", invalid="ignore"):
+            days, rem = np.divmod(u, self.day_intensity)
+            days = days * DAY_MINUTES
         slot = np.searchsorted(self._cum, rem, side="right")
         slot = np.minimum(slot, SLOTS_PER_DAY - 1)
         before = np.where(slot > 0, self._cum[slot - 1], 0.0)
         rates = np.asarray(self.slot_rates)[slot]
-        return days * DAY_MINUTES + slot * SLOT_MINUTES + (rem - before) / rates
+        return days + slot * SLOT_MINUTES + (rem - before) / rates
 
     def arrival_times(self, horizon, rng):
         """All arrival times in [0, horizon), strictly increasing.

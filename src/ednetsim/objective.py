@@ -79,31 +79,30 @@ class SimSummary:
         )
 
 
-def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
+def saa_evaluate(scenario, plan, policy, replications):
     """Estimate cost and constraints of a plan by averaging replications.
 
     The replications come from `replicate`, so two plans evaluated on the
     same scenario share every random stream.  Cost weights and NVA caps
     are scenario.objective_spec.
 
-    ed_memo: P1 only.  A dict from (ED index, plan row) to that ED's
-        per-replication mean NVA, shape (replications, 2), shared by the
-        evaluations of one scenario and replication count.  Under P1 an
-        ED's estimate depends on its own row alone, so rows missing from
-        the memo are simulated one ED at a time and added, and the others
-        are not simulated again.  The memo also keeps, under the ED index
-        alone, the ED's solo copy of the scenario that those runs use, so
-        every row of the ED shares its kept arrivals and LOS values.  A
-        row kept for another replication count raises ValueError.
+    Under P1 every ED works alone, so its estimate depends on its own plan
+    row alone: each ED is run on its own (see _solo_rep_means), and the
+    runs of each (ED, row, replication count) are kept on scenario.solo_runs
+    and not simulated again.
     """
     policy = PolicySpec.coerce(policy)
-    if ed_memo is not None and policy.id != "P1":
-        raise ValueError(f"per-ED memoization needs policy P1, got {policy.id}")
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds)
 
     # replicate rejects a bad replication count before anything is sized by it
-    if ed_memo is None:
+    if policy.id == "P1":
+        rep_means = np.stack(
+            [_solo_rep_means(scenario, plan, policy, replications, i) for i in range(n)],
+            axis=1,
+        )
+        redirects = np.zeros((replications, n))  # nobody is redirected under P1
+    else:
         runs = replicate(scenario, plan, policy, replications)
         rep_means = np.zeros((replications, n, 2))
         redirects = np.zeros((replications, n))
@@ -112,20 +111,6 @@ def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
                 rep_means[k, i, YELLOW] = out.mean_nva(i, YELLOW)
                 rep_means[k, i, RED] = out.mean_nva(i, RED)
             redirects[k] = out.redirects_out
-    else:
-        keys = [(i, tuple(plan[i].tolist())) for i in range(n)]
-        for i, key in enumerate(keys):
-            if key not in ed_memo:
-                if i not in ed_memo:
-                    ed_memo[i] = _solo(scenario, i)
-                ed_memo[key] = _solo_rep_means(ed_memo[i], plan, policy, replications, i)
-            elif len(ed_memo[key]) != replications:
-                raise ValueError(
-                    f"the P1 memo holds {len(ed_memo[key])} replications per plan row, "
-                    f"asked for {replications}"
-                )
-        rep_means = np.stack([ed_memo[key] for key in keys], axis=1)
-        redirects = np.zeros((replications, n))  # nobody is redirected under P1
 
     mean_nva = rep_means.mean(axis=0)
     half_width = np.full((n, 2), np.nan)
@@ -146,27 +131,33 @@ def saa_evaluate(scenario, plan, policy, replications, ed_memo=None):
     )
 
 
-def _solo(scenario, ed):
-    """The scenario with every other ED's arrivals removed.
+def _solo_rep_means(scenario, plan, policy, replications, ed):
+    """Per-replication mean NVA of one ED under P1, shape (replications, 2).
 
-    Streams stay keyed by the ED's own index, so under P1 its runs are
-    bit-identical to that ED's share of a whole-network run (unlike
-    Scenario.isolate, which moves the ED to index 0).
+    The ED runs on its solo copy of the scenario, which holds that ED's
+    arrivals alone.  Streams stay keyed by the ED's own index, so the runs
+    are bit-identical to that ED's share of a whole-network run (unlike
+    Scenario.isolate, which moves the ED to index 0).  The copy shares the
+    scenario's LOS values, which depend on the seed and the ED alone, and
+    keeps its own arrival timelines for every row of the ED.
     """
-    return replace(
-        scenario,
-        arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
-    )
-
-
-def _solo_rep_means(solo, plan, policy, replications, ed):
-    """Per-replication mean NVA of one ED, run on its solo copy (see _solo)."""
-    return np.array(
-        [
-            (out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED))
-            for out in replicate(solo, plan, policy, replications)
-        ]
-    )
+    if ed not in scenario.solo_runs:
+        solo = replace(
+            scenario,
+            arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
+        )
+        solo.los_values = scenario.los_values
+        scenario.solo_runs[ed] = solo, {}
+    solo, runs = scenario.solo_runs[ed]
+    key = tuple(plan[ed].tolist()), replications
+    if key not in runs:
+        runs[key] = np.array(
+            [
+                (out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED))
+                for out in replicate(solo, plan, policy, replications)
+            ]
+        )
+    return runs[key]
 
 
 def make_allocation_problem(scenario, policy, replications):
@@ -175,17 +166,12 @@ def make_allocation_problem(scenario, policy, replications):
     Returns evaluate, which maps a flat integer vector (the plan's rows in
     order) to (objective, per-(ED, tag) violation vector).  The SimSummary of
     each evaluated point is kept on evaluate.summaries for reporting.
-    Under P1 the evaluations share one per-ED memo (see saa_evaluate), so
-    each (ED, plan row) is simulated once per problem.
     """
     summaries = {}
-    ed_memo = {} if PolicySpec.coerce(policy).id == "P1" else None
 
     def evaluate(x):
         plan = np.reshape(x, (-1, SLOTS_PER_DAY))  # check_plan checks the ED count
-        summary = saa_evaluate(
-            scenario, plan, policy, replications=replications, ed_memo=ed_memo
-        )
+        summary = saa_evaluate(scenario, plan, policy, replications=replications)
         summaries[tuple(x)] = summary
         return summary.objective, summary.violations.reshape(-1)
 

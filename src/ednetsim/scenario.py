@@ -140,11 +140,14 @@ class Scenario:
     plan_bounds: tuple
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
-    # simulate's arrival timelines by (horizon, seed), read-only, and its
-    # LosStore by (seed, ED); every copy of the scenario (replace, isolate)
-    # starts with none
+    # simulate's arrival timelines by (horizon, seed), read-only, its
+    # LosStore by (seed, ED), and saa_evaluate's P1 runs by ED (the ED's solo
+    # copy, and its per-replication mean NVA by (plan row, replications)).
+    # Every copy (replace, isolate) starts with none, except that a P1 solo
+    # copy shares its parent's los_values: it would make the same stores
     timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     los_values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    solo_runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_eds(self):

@@ -284,7 +284,10 @@ replication: {horizon_days: 2, warmup_minutes: 0}
 """
 
 
-@pytest.mark.parametrize("row, column", [("A,2,x,2", "slot2"), ("A,2,2", "slot3")])
+@pytest.mark.parametrize(
+    "row, column",
+    [("A,2,x,2", "slot2"), ("A,2,2", "slot3"), ("A,2,99,2", "slot2"), ("A,0,2,2", "slot1")],
+)
 def test_bad_calibrated_plan_row_names_file(tmp_path, capsys, row, column):
     path = tmp_path / "one.yaml"
     path.write_text(ONE_ED_WITHOUT_PLAN)
@@ -292,10 +295,11 @@ def test_bad_calibrated_plan_row_names_file(tmp_path, capsys, row, column):
     out.mkdir()
     plan_path = out / "calibrated_plan.csv"
     plan_path.write_text(f"ED,slot1,slot2,slot3\n{row}\n")
-    args = ["simulate", "--scenario", str(path), "--replications", "1", "--out", str(out)]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {plan_path}: ED 'A', {column}: ")
+    for command in ("simulate", "optimize"):
+        args = [command, "--scenario", str(path), "--replications", "1", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan_path}: ED 'A', {column}: ")
     assert sorted(p.name for p in out.iterdir()) == ["calibrated_plan.csv"]
 
 

@@ -107,6 +107,14 @@ def test_zero_rate_process():
     assert len(proc.arrival_times(1440.0, np.random.default_rng(1))) == 0
 
 
+@pytest.mark.parametrize("rate", [5e-324, 1e-310])
+def test_near_zero_rate_process_has_no_arrivals(rate):
+    # the inverse intensity overflows to +inf, past the horizon, without a
+    # RuntimeWarning (the suite turns those into errors)
+    proc = ArrivalProcess([rate, 0.0, rate])
+    assert len(proc.arrival_times(3 * 1440.0, np.random.default_rng(1))) == 0
+
+
 def test_nhpp_slot_counts_match_rates():
     # 1000 days of the three-slot profile; each slot's count within 2%
     counts = [875, 2688, 2279]

@@ -1,5 +1,6 @@
 """Cost-function, constraint, and sample-average estimation tests."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -119,9 +120,9 @@ def test_saa_single_replication_has_no_half_width():
     s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=1)
     assert np.isnan(s.half_width).all()
     for replications in (0, -1):
-        for memo in (None, {}):
+        for policy in ("P1", "P2"):
             with pytest.raises(ValueError, match="at least one replication"):
-                saa_evaluate(sc, [[2, 2, 2]], "P1", replications=replications, ed_memo=memo)
+                saa_evaluate(sc, [[2, 2, 2]], policy, replications=replications)
 
 
 def test_make_allocation_problem_round_trip():
@@ -185,6 +186,26 @@ def assert_same_estimate(a, b):
     assert np.array_equal(a.redirects, b.redirects)
 
 
+def whole_network_runs(sc, plan, replications):
+    """P1 runs of the whole network on a fresh copy of sc, which keeps nothing."""
+    return list(simulate.replicate(replace(sc), plan, "P1", replications))
+
+
+def assert_matches_whole_network(summary, sc, runs):
+    """summary is the estimate that the whole-network runs give, bit for bit."""
+    want = np.array(
+        [[(out.mean_nva(i, YELLOW), out.mean_nva(i, RED)) for i in range(sc.n_eds)] for out in runs]
+    )
+    assert summary.rep_means.dtype == want.dtype
+    assert summary.rep_means.tobytes() == want.tobytes()
+    assert not summary.redirects.any()
+    assert not any(any(out.redirects_out) for out in runs)
+    mean_nva = want.mean(axis=0)
+    assert np.array_equal(summary.mean_nva, mean_nva)
+    assert summary.objective == objective_value(summary.plan, mean_nva, sc.objective_spec)
+    assert np.array_equal(summary.violations, constraint_violations(mean_nva, sc.objective_spec))
+
+
 def test_p1_memo_matches_whole_network_evaluation():
     # per-ED blocks keep each ED's own streams: a solo run keyed to
     # stream 0 would change the numbers of ED2 and ED3
@@ -201,10 +222,10 @@ def test_p1_memo_matches_whole_network_evaluation():
     ]
     for x in points:
         f, g = evaluate(x)
-        fresh = saa_evaluate(sc, np.reshape(x, (3, 3)), "P1", replications=3)
-        assert_same_estimate(evaluate.summaries[x], fresh)
-        assert f == fresh.objective
-        assert np.array_equal(g, fresh.violations.reshape(-1))
+        summary = evaluate.summaries[x]
+        assert_matches_whole_network(summary, sc, whole_network_runs(sc, np.reshape(x, (3, 3)), 3))
+        assert f == summary.objective
+        assert np.array_equal(g, summary.violations.reshape(-1))
 
 
 def test_p1_memo_simulates_each_row_once():
@@ -237,17 +258,32 @@ def test_coupled_policies_simulate_every_evaluation():
         evaluate((2, 2, 2, 4, 3, 3, 2, 3, 2))
         evaluate((2, 2, 2, 3, 3, 3, 2, 3, 2))
     assert len(outputs) == 3 * 2
-    with pytest.raises(ValueError, match="P1"):
-        saa_evaluate(sc, np.full((3, 3), 2), "P4", replications=1, ed_memo={})
 
 
-def test_p1_memo_rejects_another_replication_count():
+def test_p1_runs_at_another_replication_count_are_simulated_afresh():
     sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
     plan = np.full((3, 3), 2)
-    memo = {}
-    saa_evaluate(sc, plan, "P1", replications=3, ed_memo=memo)
-    with pytest.raises(ValueError, match="holds 3 replications per plan row, asked for 2"):
-        saa_evaluate(sc, plan, "P1", replications=2, ed_memo=memo)
+    saa_evaluate(sc, plan, "P1", replications=3)
+    outputs, patch = counting_replications()
+    with patch:
+        summary = saa_evaluate(sc, plan, "P1", replications=2)
+    assert len(outputs) == 3 * 2
+    assert summary.replications == 2
+    assert_matches_whole_network(summary, sc, whole_network_runs(sc, plan, 2))
+
+
+def test_p1_runs_are_shared_by_every_evaluation_of_a_scenario():
+    # a one-shot estimate and an optimize problem on one scenario share
+    # their (ED, row) runs, whoever made them first
+    sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
+    x = (2, 2, 2, 3, 3, 3, 2, 3, 2)
+    first = saa_evaluate(sc, np.reshape(x, (3, 3)), "P1", replications=2)
+    evaluate = make_allocation_problem(sc, "P1", replications=2)
+    outputs, patch = counting_replications()
+    with patch:
+        evaluate(x)
+    assert outputs == []
+    assert_same_estimate(evaluate.summaries[x], first)
 
 
 def test_p1_memo_draws_each_arrival_stream_once():
@@ -318,16 +354,17 @@ def test_p1_memo_property(case):
     evaluate = make_allocation_problem(sc, "P1", replications=reps)
     outputs, patch = counting_replications()
     with patch:
-        whole = saa_evaluate(sc, plan, "P1", replications=reps)
-        f, _ = evaluate(tuple(plan.reshape(-1).tolist()))
+        whole = whole_network_runs(sc, plan, reps)
+        evaluate(tuple(plan.reshape(-1).tolist()))
         solo = outputs[reps:]
         assert len(solo) == n * reps
         evaluate(tuple(changed.reshape(-1).tolist()))
         assert len(outputs) == reps + n * reps + reps
-    assert_same_estimate(evaluate.summaries[tuple(plan.reshape(-1).tolist())], whole)
-    assert_same_estimate(
+    assert_matches_whole_network(evaluate.summaries[tuple(plan.reshape(-1).tolist())], sc, whole)
+    assert_matches_whole_network(
         evaluate.summaries[tuple(changed.reshape(-1).tolist())],
-        saa_evaluate(sc, changed, "P1", replications=reps),
+        sc,
+        whole_network_runs(sc, changed, reps),
     )
     # patients are conserved in every replication, whole and per ED, and
     # the per-ED runs of a replication add up to the whole-network run

@@ -9,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ednetsim import (
     ReplicationSpec,
@@ -20,10 +22,11 @@ from ednetsim import (
 from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import _seeded
 from ednetsim.distributions import ArrivalProcess, LosDistribution
-from ednetsim.network import RED, YELLOW
+from ednetsim.network import RED, YELLOW, PolicySpec
 
 from util import (
     asymmetric_pair_scenario,
+    exp_los,
     network_scenario,
     plan_for,
     single_ed_scenario,
@@ -178,6 +181,51 @@ def test_p3_thresholds_length_checked():
     bad = PolicySpec("P3", p3_thresholds=[1, 1, 1])
     with pytest.raises(ValueError):
         run_replication(sc, plan_for(sc, 2), bad, short_spec(days=2))
+
+
+@st.composite
+def nearest_ed_cases(draw):
+    """A random 2-4 ED network under P2 or P3 (random thresholds, cascade or not)."""
+    n = draw(st.integers(2, 4))
+    rates = st.lists(st.floats(0.0, 0.15), min_size=3, max_size=3)
+    los_mean = st.floats(10.0, 120.0)
+    eds = [
+        {
+            "name": f"ED{i + 1}",
+            "arrivals": {"yellow": {"rates": draw(rates)}, "red": {"rates": draw(rates)}},
+            "los": {"yellow": exp_los(draw(los_mean)), "red": exp_los(draw(los_mean))},
+        }
+        for i in range(n)
+    ]
+    minutes = st.floats(1.0, 60.0)
+    transfer = [[0.0 if i == j else draw(minutes) for j in range(n)] for i in range(n)]
+    sc = scenario_from_dict({"eds": eds, "transfer_minutes": transfer, "plan_bounds": [1, 4]})
+    policy_id = draw(st.sampled_from(["P2", "P3"]))
+    thresholds = None
+    if policy_id == "P3":
+        thresholds = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    policy = PolicySpec(policy_id, p3_thresholds=thresholds, cascade=draw(st.booleans()))
+    plan = np.array([draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)) for _ in range(n)])
+    spec = short_spec(seed=draw(st.integers(0, 2**31)), days=draw(st.integers(2, 4)), warmup=0.0)
+    return sc, policy, plan, spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nearest_ed_cases())
+def test_nearest_ed_policies_property(case):
+    sc, policy, plan, spec = case
+    out = run_replication(sc, plan, policy, spec, record_patients=True)
+    assert out.created == out.discharged + out.in_system
+    assert out.in_system >= 0
+    for p in out.patients:
+        assert p.redirects <= 1
+        if p.redirects:
+            assert policy.id == "P2" or p.tag == YELLOW
+            assert p.serving != p.origin
+            assert p.transfer_minutes == sc.transfer[p.origin][p.serving]
+            assert p.nva_minutes >= p.transfer_minutes - 1e-9  # (t + tau) - t rounds
+        else:
+            assert p.serving == p.origin and p.transfer_minutes == 0.0
 
 
 def test_redirect_counts_only_under_diverting_policies():
@@ -449,11 +497,13 @@ def test_kept_los_values_survive_a_replication():
 
 
 def test_copies_start_with_no_los_values():
-    sc = network_scenario(n=2, policy="P2")
+    sc = with_replication(network_scenario(n=2, policy="P2"), short_spec(seed=4, days=3))
     run_replication(sc, plan_for(sc, 2), "P2", short_spec(seed=4, days=3))
-    assert sc.los_values
+    saa_evaluate(sc, plan_for(sc, 2), "P1", replications=1)
+    assert sc.los_values and sc.solo_runs
     for copy in (replace(sc), sc.isolate(1), _seeded(sc, 11), with_replication(sc, short_spec())):
         assert copy.los_values == {}
+        assert copy.solo_runs == {}
 
 
 def test_per_slot_los_table_keeps_one_row_per_distinct_distribution():
