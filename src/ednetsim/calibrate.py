@@ -1,11 +1,11 @@
 """Capacity calibration against observed mean waiting times.
 
-Each ED is calibrated in isolation (no diversion can move patients
-before the network is coupled): an exhaustive search over the capacity
-triples (slot1, slot2, slot3) picks the one whose simulated mean waits,
-averaged over replications, are closest in L1 distance to the supplied
-real waits.  Ties favour fewer total resources, then lexicographic
-order.
+Each ED is calibrated alone (no diversion can move patients before the
+network is coupled), on its own random streams, exactly as P1 runs it:
+an exhaustive search over the capacity triples (slot1, slot2, slot3)
+picks the one whose simulated mean waits, averaged over replications,
+are closest in L1 distance to the supplied real waits.  Ties favour
+fewer total resources, then lexicographic order.
 """
 
 from itertools import product
@@ -13,7 +13,8 @@ from itertools import product
 import numpy as np
 
 from .distributions import SLOTS_PER_DAY
-from .simulate import replicate
+from .network import PolicySpec
+from .simulate import replicate_alone
 
 
 def l1_error(sim, real):
@@ -28,29 +29,26 @@ def l1_error(sim, real):
     return float(np.abs(sim - real).sum())
 
 
-def simulated_waits(scenario, capacities, replications):
-    """Replication-averaged 3x2 (slot, tag) mean waits of a single-ED scenario."""
-    if scenario.n_eds != 1:
-        raise ValueError("simulated_waits expects a single-ED scenario")
-    plan = np.array([capacities])
-    total = np.zeros((SLOTS_PER_DAY, 2))
-    for out in replicate(scenario, plan, "P1", replications):
-        total += out.slot_tag_waits(0)
-    return total / replications
+def simulated_waits(scenario, capacities, replications, ed):
+    """Replication-averaged 3x2 (slot, tag) mean waits of one ED working alone.
+
+    Every row of the plan is the capacity triple, but under P1 only row `ed`
+    is staffed; the runs are the ones P1 evaluations of that row share.
+    """
+    plan = np.tile(capacities, (scenario.n_eds, 1))
+    _, waits = replicate_alone(scenario, plan, PolicySpec("P1"), replications, ed)
+    return sum(waits, np.zeros((SLOTS_PER_DAY, 2))) / replications
 
 
-def calibrate_ed(scenario, real, replications, bounds=None):
+def calibrate_ed(scenario, ed, real, replications, bounds=None):
     """Exhaustively fit one ED's three slot capacities to its real waits.
 
-    scenario: a single-ED scenario (see Scenario.isolate).
+    ed: the ED's index in the scenario; it is simulated alone (see
+        simulated_waits).
     real: 3x2 (slot, tag) observed mean waits in minutes.
     bounds: capacity range (low, high) within plan_bounds, default plan_bounds.
     Returns (capacities, error): the best triple and its L1 error.
     """
-    if scenario.n_eds != 1:
-        raise ValueError(
-            f"calibration runs on one ED at a time, scenario has {scenario.n_eds}"
-        )
     real = np.asarray(real, dtype=float)
     if real.shape != (SLOTS_PER_DAY, 2):
         raise ValueError(f"real wait table must be {SLOTS_PER_DAY}x2, got {real.shape}")
@@ -66,7 +64,7 @@ def calibrate_ed(scenario, real, replications, bounds=None):
 
     best = None
     for triple in product(range(lo, hi + 1), repeat=SLOTS_PER_DAY):
-        waits = simulated_waits(scenario, triple, replications)
+        waits = simulated_waits(scenario, triple, replications, ed)
         err = l1_error(waits, real)
         key = (err, sum(triple), triple)
         if best is None or key < best:
@@ -86,8 +84,7 @@ def calibrate_network(scenario, replications, bounds=None):
     plan = np.zeros((n, SLOTS_PER_DAY), dtype=int)
     errors = np.zeros(n)
     for i in range(n):
-        single = scenario.isolate(i)
-        triple, err = calibrate_ed(single, scenario.real_waits[i], replications, bounds)
-        plan[i] = triple
-        errors[i] = err
+        plan[i], errors[i] = calibrate_ed(
+            scenario, i, scenario.real_waits[i], replications, bounds
+        )
     return plan, errors

@@ -11,17 +11,23 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
-from scipy.stats import t as student_t
+from scipy.special import gammaincinv, ndtri, stdtrit
 
 SLOT_MINUTES = 480.0
 SLOTS_PER_DAY = 3
 DAY_MINUTES = 1440.0
 
-LOS_FAMILIES = ("exponential", "lognormal", "gamma", "weibull", "empirical")
+# The parameter names of each LOS family, one tuple per way of giving them.
+LOS_PARAMS = {
+    "exponential": (("mean",),),
+    "lognormal": (("mean", "cv"), ("mu", "sigma")),
+    "gamma": (("mean", "cv"), ("shape", "scale")),
+    "weibull": (("shape", "scale"),),
+    "empirical": (("values",),),
+}
+LOS_FAMILIES = tuple(LOS_PARAMS)
 
 # Uniforms drawn per numpy call by `LosStore`.
 UNIFORM_BLOCK = 1024
@@ -42,7 +48,7 @@ class ArrivalProcess:
     """
 
     def __init__(self, slot_rates):
-        rates = [float(r) for r in slot_rates]
+        rates = [finite_number(r, f"slot_rates[{k}]") for k, r in enumerate(slot_rates)]
         if len(rates) != SLOTS_PER_DAY:
             raise ValueError(f"expected {SLOTS_PER_DAY} slot rates, got {len(rates)}")
         if any(r < 0 for r in rates):
@@ -132,6 +138,9 @@ class LosDistribution:
     - gamma:       shape/scale, or mean/cv
     - weibull:     shape/scale
     - empirical:   values (sampled uniformly)
+
+    Any other name, or both ways of giving one family's parameters, is a
+    ValueError.
     """
 
     family: str
@@ -142,6 +151,13 @@ class LosDistribution:
             raise ValueError(
                 f"unknown LOS family {self.family!r}; expected one of {LOS_FAMILIES}"
             )
+        spellings = LOS_PARAMS[self.family]
+        expected = " or ".join("/".join(names) for names in spellings)
+        for key in self.params:
+            if not any(key in names for names in spellings):
+                raise ValueError(f"{key}: unknown {self.family} LOS parameter; expected {expected}")
+        if sum(any(key in self.params for key in names) for names in spellings) > 1:
+            raise ValueError(f"{self.family} LOS takes {expected}, not both")
         p = {}
         for key, value in self.params.items():
             if key == "values" and isinstance(value, (list, tuple)):
@@ -264,10 +280,9 @@ class MeanCI:
     n: int
 
 
-@lru_cache(maxsize=None)
 def t_critical(df):
     """Two-sided 95% Student-t critical value (one-sided level 0.975)."""
-    return float(student_t.ppf(0.975, df))
+    return float(stdtrit(df, 0.975))
 
 
 def summarize(values):

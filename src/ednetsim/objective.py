@@ -9,13 +9,13 @@ averaging independent simulation replications that share seeds across
 candidate plans (common random numbers).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, MeanCI, summarize
 from .network import RED, YELLOW, PolicySpec
-from .simulate import check_plan, replicate
+from .simulate import check_plan, replicate, replicate_alone
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def saa_evaluate(scenario, plan, policy, replications):
     are scenario.objective_spec.
 
     Under P1 every ED works alone, so its estimate depends on its own plan
-    row alone: each ED is run on its own (see _solo_rep_means), and the
-    runs of each (ED, row, replication count) are kept on scenario.solo_runs
-    and not simulated again.
+    row alone: each ED is run on its own by replicate_alone, which keeps the
+    runs of each (ED, row, replication count) and does not simulate them
+    again.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
@@ -98,7 +98,7 @@ def saa_evaluate(scenario, plan, policy, replications):
     # replicate rejects a bad replication count before anything is sized by it
     if policy.id == "P1":
         rep_means = np.stack(
-            [_solo_rep_means(scenario, plan, policy, replications, i) for i in range(n)],
+            [replicate_alone(scenario, plan, policy, replications, i)[0] for i in range(n)],
             axis=1,
         )
         redirects = np.zeros((replications, n))  # nobody is redirected under P1
@@ -129,35 +129,6 @@ def saa_evaluate(scenario, plan, policy, replications):
         violations=constraint_violations(mean_nva, scenario.objective_spec),
         redirects=redirects.mean(axis=0),
     )
-
-
-def _solo_rep_means(scenario, plan, policy, replications, ed):
-    """Per-replication mean NVA of one ED under P1, shape (replications, 2).
-
-    The ED runs on its solo copy of the scenario, which holds that ED's
-    arrivals alone.  Streams stay keyed by the ED's own index, so the runs
-    are bit-identical to that ED's share of a whole-network run (unlike
-    Scenario.isolate, which moves the ED to index 0).  The copy shares the
-    scenario's LOS values, which depend on the seed and the ED alone, and
-    keeps its own arrival timelines for every row of the ED.
-    """
-    if ed not in scenario.solo_runs:
-        solo = replace(
-            scenario,
-            arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
-        )
-        solo.los_values = scenario.los_values
-        scenario.solo_runs[ed] = solo, {}
-    solo, runs = scenario.solo_runs[ed]
-    key = tuple(plan[ed].tolist()), replications
-    if key not in runs:
-        runs[key] = np.array(
-            [
-                (out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED))
-                for out in replicate(solo, plan, policy, replications)
-            ]
-        )
-    return runs[key]
 
 
 def make_allocation_problem(scenario, policy, replications):

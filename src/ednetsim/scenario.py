@@ -9,7 +9,7 @@ file can be fixed without reading this module.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -141,10 +141,10 @@ class Scenario:
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
     # simulate's arrival timelines by (horizon, seed), read-only, its
-    # LosStore by (seed, ED), and saa_evaluate's P1 runs by ED (the ED's solo
-    # copy, and its per-replication mean NVA by (plan row, replications)).
-    # Every copy (replace, isolate) starts with none, except that a P1 solo
-    # copy shares its parent's los_values: it would make the same stores
+    # LosStore by (seed, ED), and replicate_alone's runs by ED (the ED's solo
+    # copy, and its per-replication results by (plan row, replications)).
+    # Every copy starts with empty caches, except that a solo copy shares its
+    # parent's los_values: it would make the same stores
     timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     los_values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     solo_runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -152,27 +152,6 @@ class Scenario:
     @property
     def n_eds(self):
         return len(self.ed_names)
-
-    def isolate(self, ed):
-        """A single-ED copy of this scenario, decoupled from the network.
-
-        The copy keeps the objective, replication block and plan_bounds.
-        """
-        if not 0 <= ed < self.n_eds:
-            raise ValueError(f"ED index {ed} out of range [0, {self.n_eds})")
-        return replace(
-            self,
-            name=f"{self.name}:{self.ed_names[ed]}",
-            ed_names=[self.ed_names[ed]],
-            arrivals=[self.arrivals[ed]],
-            los=[self.los[ed]],
-            transfer=np.zeros((1, 1)),
-            policy=PolicySpec("P1"),
-            real_waits=None if self.real_waits is None else self.real_waits[ed : ed + 1],
-            starting_plan=None
-            if self.starting_plan is None
-            else self.starting_plan[ed : ed + 1],
-        )
 
 
 def scenario_from_dict(data, name="inline"):

@@ -281,3 +281,39 @@ def replicate(scenario, plan, policy, replications):
         run_replication(scenario, plan, policy, replace(base, seed=base.seed + k + 1))
         for k in range(replications)
     )
+
+
+def replicate_alone(scenario, plan, policy, replications, ed):
+    """One ED's per-replication results when it works alone (P1): (means, waits).
+
+    means (replications, 2) is the ED's pooled mean NVA by tag, waits
+    (replications, 3, 2) its mean waits by (slot, tag).  The ED runs on its
+    solo copy of the scenario, which holds that ED's arrivals alone, so only
+    plan[ed] is staffed.  Streams stay keyed by the ED's own index, so the
+    runs are bit-identical to that ED's share of a whole-network P1 run.  The
+    copy shares the scenario's LOS values, which depend on the seed and the
+    ED alone, and keeps its own arrival timelines for every row of the ED.
+    The results of each (plan row, replication count) are kept on
+    scenario.solo_runs and not simulated again.
+    """
+    if not 0 <= ed < scenario.n_eds:
+        raise ValueError(f"ED index {ed} out of range [0, {scenario.n_eds})")
+    if ed not in scenario.solo_runs:
+        solo = replace(
+            scenario,
+            arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
+        )
+        solo.los_values = scenario.los_values
+        scenario.solo_runs[ed] = solo, {}
+    solo, runs = scenario.solo_runs[ed]
+    key = tuple(plan[ed].tolist()), replications
+    if key not in runs:
+        # replicate rejects a bad replication count before it sizes the arrays
+        outputs = replicate(solo, plan, policy, replications)
+        means = np.empty((replications, 2))
+        waits = np.empty((replications, SLOTS_PER_DAY, 2))
+        for k, out in enumerate(outputs):
+            means[k] = out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED)
+            waits[k] = out.slot_tag_waits(ed)
+        runs[key] = means, waits
+    return runs[key]

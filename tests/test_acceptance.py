@@ -317,8 +317,8 @@ def test_calibration_recovers_known_capacities():
     base = ReplicationSpec(horizon=30 * 1440.0, warmup=1440.0, seed=101)
     scenario = with_replication(scenario, base)
     true_caps = (4, 5, 3)
-    real = simulated_waits(scenario, true_caps, replications=10)
-    caps, err = calibrate_ed(scenario, real, bounds=(2, 5), replications=10)
+    real = simulated_waits(scenario, true_caps, replications=10, ed=0)
+    caps, err = calibrate_ed(scenario, 0, real, bounds=(2, 5), replications=10)
     _criterion(
         "calibration self-recovery",
         tuple(caps) == true_caps and err == 0.0,

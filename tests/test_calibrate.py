@@ -1,12 +1,15 @@
 """Calibration tests: L1 fit, exhaustive grid, self-recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ednetsim import ReplicationSpec, calibrate_ed, calibrate_network, l1_error
+from ednetsim import ReplicationSpec, calibrate_ed, calibrate_network, l1_error, saa_evaluate
 from ednetsim.calibrate import simulated_waits
+from ednetsim.simulate import replicate
 
-from util import network_scenario, single_ed_scenario, with_replication
+from util import network_scenario, plan_for, single_ed_scenario, with_replication
 
 
 def test_l1_error_hand_values():
@@ -43,9 +46,9 @@ def test_self_recovery():
     base = ReplicationSpec(horizon=15 * 1440.0, warmup=960.0, seed=77)
     sc = with_replication(sc, base)
     true_caps = (4, 5, 3)
-    real = simulated_waits(sc, true_caps, replications=2)
+    real = simulated_waits(sc, true_caps, replications=2, ed=0)
     assert real.max() > 0.0
-    caps, err = calibrate_ed(sc, real, bounds=(2, 5), replications=2)
+    caps, err = calibrate_ed(sc, 0, real, bounds=(2, 5), replications=2)
     assert caps == true_caps
     assert err == 0.0
 
@@ -54,7 +57,7 @@ def test_zero_waits_drive_capacities_to_maximum():
     sc = single_ed_scenario(rates_yellow=(0.3, 0.3, 0.3), los_mean=30.0)
     base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=5)
     sc = with_replication(sc, base)
-    caps, err = calibrate_ed(sc, np.zeros((3, 2)), bounds=(2, 4), replications=2)
+    caps, err = calibrate_ed(sc, 0, np.zeros((3, 2)), bounds=(2, 4), replications=2)
     assert caps == (4, 4, 4)
     assert err > 0.0
 
@@ -66,11 +69,11 @@ def test_grid_matches_independent_enumeration():
     base = ReplicationSpec(horizon=8 * 1440.0, warmup=480.0, seed=11)
     sc = with_replication(sc, base)
     real = np.full((3, 2), 12.0)
-    caps, err = calibrate_ed(sc, real, bounds=(2, 4), replications=2)
+    caps, err = calibrate_ed(sc, 0, real, bounds=(2, 4), replications=2)
 
     best = None
     for triple in product(range(2, 5), repeat=3):
-        waits = simulated_waits(sc, triple, replications=2)
+        waits = simulated_waits(sc, triple, replications=2, ed=0)
         key = (l1_error(waits, real), sum(triple), triple)
         if best is None or key < best:
             best = key
@@ -88,12 +91,12 @@ def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
     searched = []
     original = calibrate.simulated_waits
 
-    def recording(scenario, capacities, replications):
+    def recording(scenario, capacities, replications, ed):
         searched.append(tuple(capacities))
-        return original(scenario, capacities, replications)
+        return original(scenario, capacities, replications, ed)
 
     monkeypatch.setattr(calibrate, "simulated_waits", recording)
-    caps, _ = calibrate_ed(sc, np.zeros((3, 2)), replications=1)
+    caps, _ = calibrate_ed(sc, 0, np.zeros((3, 2)), replications=1)
     assert sorted(searched) == list(product((2, 3), repeat=3))
     assert caps == (3, 3, 3)
 
@@ -106,7 +109,7 @@ def test_calibrate_network_recovers_every_ed():
     sc = with_replication(sc, base)
     true_plan = np.array([[3, 4, 3], [4, 3, 4]])
     rows = [
-        simulated_waits(sc.isolate(i), true_plan[i], replications=2)
+        simulated_waits(sc, true_plan[i], replications=2, ed=i)
         for i in range(2)
     ]
     sc.real_waits = np.stack(rows)
@@ -123,15 +126,68 @@ def test_calibrate_network_requires_real_waits():
 
 def test_calibrate_ed_input_validation():
     sc = network_scenario(n=2)
-    with pytest.raises(ValueError):
-        calibrate_ed(sc, np.zeros((3, 2)), replications=1)  # more than one ED
+    for ed in (-1, 2):
+        with pytest.raises(ValueError, match=rf"ED index {ed} out of range \[0, 2\)"):
+            calibrate_ed(sc, ed, np.zeros((3, 2)), replications=1)
     single = _loaded_single_ed()
     with pytest.raises(ValueError):
-        calibrate_ed(single, np.zeros((2, 2)), replications=1)
+        calibrate_ed(single, 0, np.zeros((2, 2)), replications=1)
     with pytest.raises(ValueError):
-        calibrate_ed(single, np.full((3, 2), -1.0), replications=1)
+        calibrate_ed(single, 0, np.full((3, 2), -1.0), replications=1)
     with pytest.raises(ValueError):
-        calibrate_ed(single, np.zeros((3, 2)), replications=1, bounds=(5, 2))
+        calibrate_ed(single, 0, np.zeros((3, 2)), replications=1, bounds=(5, 2))
     for replications in (0, -1):
         with pytest.raises(ValueError, match="at least one replication"):
-            calibrate_ed(single, np.zeros((3, 2)), replications=replications)
+            calibrate_ed(single, 0, np.zeros((3, 2)), replications=replications)
+
+
+def test_simulated_waits_rejects_an_ed_outside_the_network():
+    sc = network_scenario(n=3)
+    for ed in (-1, 3):
+        with pytest.raises(ValueError, match=rf"ED index {ed} out of range \[0, 3\)"):
+            simulated_waits(sc, (2, 2, 2), 1, ed)
+    assert sc.solo_runs == {}
+
+
+def _three_ed_network():
+    sc = network_scenario(
+        n=3, rates_yellow=(0.1, 0.15, 0.1), rates_red=(0.02, 0.02, 0.02), los_mean=30.0
+    )
+    return with_replication(sc, ReplicationSpec(horizon=6 * 1440.0, warmup=480.0, seed=17))
+
+
+def test_simulated_waits_draw_the_p1_random_numbers():
+    # each ED is calibrated on its own streams, so its waits are its share of
+    # whole-network P1 runs, for every ED and not only the first
+    sc = _three_ed_network()
+    triple, replications = (2, 3, 2), 3
+    whole = list(replicate(replace(sc), np.tile(triple, (3, 1)), "P1", replications))
+    for i in range(3):
+        expected = sum((out.slot_tag_waits(i) for out in whole), np.zeros((3, 2)))
+        expected /= replications
+        assert expected.min() > 0.0
+        assert np.array_equal(simulated_waits(sc, triple, replications, i), expected)
+
+
+def test_p1_evaluation_reuses_the_calibration_runs(monkeypatch):
+    from ednetsim import simulate
+
+    triple, replications = (3, 2, 3), 2
+    for i in range(3):
+        sc = _three_ed_network()
+        simulated_waits(sc, triple, replications, i)
+        solo = sc.solo_runs[i][0]
+        ran = []
+        original = simulate.run_replication
+
+        def counting(scenario, *args, **kwargs):
+            ran.append(scenario)
+            return original(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_replication", counting)
+        plan = plan_for(sc, 2)
+        plan[i] = triple
+        saa_evaluate(sc, plan, "P1", replications)
+        monkeypatch.undo()
+        assert not any(scenario is solo for scenario in ran)
+        assert len(ran) == 2 * replications  # the other two EDs only

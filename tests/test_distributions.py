@@ -1,10 +1,15 @@
 """Arrival-process, visit-time, and statistics tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ednetsim
 from ednetsim.distributions import (
     SLOT_MINUTES,
     SLOTS_PER_DAY,
@@ -29,6 +34,16 @@ def test_arrival_process_validation():
         ArrivalProcess([0.1, 0.1])
     with pytest.raises(ValueError):
         ArrivalProcess([0.1, -0.1, 0.1])
+    # every rate is a finite number, named by its index
+    for bad, message in (
+        (math.nan, "expected a finite number"),
+        (math.inf, "expected a finite number"),
+        (-math.inf, "expected a finite number"),
+        (True, "expected a number"),
+        ("0.1", "expected a number"),
+    ):
+        with pytest.raises(ValueError, match=rf"^slot_rates\[1\]: {message}"):
+            ArrivalProcess([0.1, bad, 0.1])
 
 
 def test_cumulative_intensity_piecewise():
@@ -228,6 +243,25 @@ def test_los_validation_errors():
         LosDistribution("empirical", {"values": [1, None]})
     with pytest.raises(ValueError, match="non-empty list"):
         LosDistribution("empirical", {"values": 5})
+    # a name the family does not take, or both ways of giving its parameters
+    with pytest.raises(ValueError, match="^meen: unknown exponential LOS parameter"):
+        LosDistribution("exponential", {"mean": 30.0, "meen": 40.0})
+    with pytest.raises(ValueError, match="^mu: unknown weibull LOS parameter; expected shape/scale$"):
+        LosDistribution("weibull", {"shape": 1.5, "scale": 25.0, "mu": 1.0})
+    with pytest.raises(ValueError, match="^values: unknown gamma LOS parameter"):
+        LosDistribution("gamma", {"shape": 2.0, "scale": 10.0, "values": [1.0]})
+    with pytest.raises(ValueError, match="takes mean/cv or mu/sigma, not both"):
+        LosDistribution("lognormal", {"mean": 30.0, "cv": 0.5, "mu": 3.0, "sigma": 0.5})
+    with pytest.raises(ValueError, match="takes mean/cv or shape/scale, not both"):
+        LosDistribution("gamma", {"mean": 30.0, "cv": 0.5, "shape": 4.0})
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes longer to import than all of ednetsim's other imports
+    src = str(Path(ednetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ednetsim.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_t_critical_values():

@@ -268,6 +268,11 @@ def _with_key(data, where, key):
         (("policy",), "cascde", r"^policy\.cascde: unknown key"),
         (("objective",), "weight", r"^objective\.weight: unknown key"),
         (("replication",), "horizon_day", r"^replication\.horizon_day: unknown key"),
+        (
+            ("eds", 0, "los", "yellow"),
+            "meen",
+            r"^eds\[0\]\.los\.yellow: meen: unknown exponential LOS parameter",
+        ),
     ],
 )
 def test_unknown_keys_rejected(where, key, path):
@@ -282,30 +287,6 @@ def test_unknown_keys_rejected(where, key, path):
     assert scenario_from_dict(data).replication.horizon == 10 * 1440.0
     with pytest.raises(ScenarioError, match=path):
         scenario_from_dict(_with_key(data, where, key))
-
-
-def test_isolate():
-    ed_a, ed_b = minimal_ed("A"), minimal_ed("B", rates=(0.2, 0.2, 0.2))
-    ed_a["real_waits"] = {"yellow": [30, 45, 40], "red": [10, 15, 12]}
-    ed_b["real_waits"] = {"yellow": [5, 6, 7], "red": [1, 2, 3]}
-    data = {
-        "eds": [ed_a, ed_b],
-        "transfer_minutes": [[0, 5], [5, 0]],
-        "policy": "P2",
-        "starting_plan": [[3, 3, 3], [4, 4, 4]],
-    }
-    sc = scenario_from_dict(data)
-    solo = sc.isolate(1)
-    assert solo.n_eds == 1
-    assert solo.ed_names == ["B"]
-    assert solo.policy.id == "P1"
-    assert solo.transfer.shape == (1, 1)
-    assert solo.arrivals[0][YELLOW].slot_rates == [0.2, 0.2, 0.2]
-    assert solo.real_waits.shape == (1, 3, 2)
-    assert solo.real_waits[0, 0, YELLOW] == 5.0
-    assert np.array_equal(solo.starting_plan, [[4, 4, 4]])
-    with pytest.raises(ValueError):
-        sc.isolate(2)
 
 
 def test_parse_scenario_file(tmp_path):

@@ -115,8 +115,8 @@ def _three_ed_dict(active=None):
     }
 
 
-def test_p1_matches_isolated_single_ed_runs():
-    # with diversion off, each ED's statistics equal its isolated run's;
+def test_p1_matches_single_ed_runs():
+    # with diversion off, each ED's statistics equal its run alone;
     # random streams are keyed by ED index, so zeroing the others changes nothing
     from ednetsim import scenario_from_dict
 
@@ -168,7 +168,7 @@ def test_replication_k_runs_on_seed_base_plus_k_plus_one():
     for k, out in enumerate(direct):
         assert summary.rep_means[k, 0, YELLOW] == out.mean_nva(0, YELLOW)
         assert summary.rep_means[k, 0, RED] == out.mean_nva(0, RED)
-    waits = simulated_waits(seeded, (2, 3, 2), 2)
+    waits = simulated_waits(seeded, (2, 3, 2), 2, 0)
     expected = (direct[0].slot_tag_waits(0) + direct[1].slot_tag_waits(0)) / 2
     assert np.array_equal(waits, expected)
 
@@ -501,7 +501,7 @@ def test_copies_start_with_no_los_values():
     run_replication(sc, plan_for(sc, 2), "P2", short_spec(seed=4, days=3))
     saa_evaluate(sc, plan_for(sc, 2), "P1", replications=1)
     assert sc.los_values and sc.solo_runs
-    for copy in (replace(sc), sc.isolate(1), _seeded(sc, 11), with_replication(sc, short_spec())):
+    for copy in (replace(sc), _seeded(sc, 11), with_replication(sc, short_spec())):
         assert copy.los_values == {}
         assert copy.solo_runs == {}
 

@@ -18,7 +18,7 @@ def single_ed_scenario(
     plan_bounds=(1, 20),
     extra=None,
 ):
-    """One isolated ED with exponential visit times."""
+    """A network of one ED with exponential visit times."""
     ed = {"name": "A", "arrivals": {}, "los": {"yellow": exp_los(los_mean), "red": exp_los(los_mean)}}
     if rates_yellow is not None:
         ed["arrivals"]["yellow"] = {"rates": list(rates_yellow)}
