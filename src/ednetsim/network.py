@@ -10,6 +10,7 @@ network.
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,29 +59,17 @@ class PolicySpec:
         return cls(id=str(policy))
 
 
-class Patient:
-    """One yellow- or red-tagged patient flowing through the network."""
+class Patient(NamedTuple):
+    """Record of one completed visit, kept by run_replication(record_patients=True)."""
 
-    __slots__ = (
-        "tag",
-        "origin",
-        "serving",
-        "t_triage",
-        "t_service_start",
-        "transfer_minutes",
-        "redirects",
-        "entry_slot",
-    )
-
-    def __init__(self, tag, origin, t_triage):
-        self.tag = tag
-        self.origin = origin
-        self.serving = origin
-        self.t_triage = t_triage
-        self.t_service_start = None
-        self.transfer_minutes = 0.0
-        self.redirects = 0
-        self.entry_slot = 0
+    tag: int
+    origin: int
+    serving: int
+    t_triage: float
+    t_service_start: float
+    transfer_minutes: float
+    redirects: int
+    entry_slot: int
 
     @property
     def nva_minutes(self):
@@ -91,10 +80,11 @@ class Patient:
 class EDState:
     """Occupancy and boarding queues of one ED.
 
-    Capacity changes are non-preemptive: when a shift boundary lowers the
-    server count below the number of patients in service, the excess
-    drains as services complete and nobody is dequeued until busy falls
-    below the new capacity.
+    A patient is whatever the event loop passes (a timeline index); the
+    loop keeps their service start times.  Capacity changes are
+    non-preemptive: when a shift boundary lowers the server count below
+    the number of patients in service, the excess drains as services
+    complete and nobody is dequeued until busy falls below the new capacity.
     """
 
     __slots__ = ("capacity", "busy", "p3_threshold", "_queues")
@@ -114,38 +104,36 @@ class EDState:
             return self.capacity
         return min(self.p3_threshold, self.capacity)
 
-    def admit(self, patient, clock):
-        """Seize a free resource or board the patient; True if service started."""
+    def admit(self, patient, tag):
+        """Seize a free resource (True) or board the patient behind their tag (False)."""
         if self.busy < self.capacity:
             self.busy += 1
-            patient.t_service_start = clock
             return True
-        self._queues[patient.tag].append(patient)
+        self._queues[tag].append(patient)
         return False
 
-    def _start_next(self, clock):
-        """Start the first boarded red patient, else the first yellow; None if empty."""
-        for q in (self._queues[RED], self._queues[YELLOW]):
-            if q:
-                patient = q.popleft()
-                patient.t_service_start = clock
-                self.busy += 1
-                return patient
-        return None
+    def _start_next(self):
+        """Seize a resource for the first boarded red patient, else yellow; None if empty."""
+        yellow, red = self._queues
+        queue = red or yellow
+        if not queue:
+            return None
+        self.busy += 1
+        return queue.popleft()
 
-    def release(self, clock):
-        """Release one resource; start the highest-priority boarded patient, if any."""
+    def release(self):
+        """Release one resource; returns the boarded patient whose service starts, if any."""
         self.busy -= 1
         if self.busy < self.capacity:
-            return self._start_next(clock)
+            return self._start_next()
         return None
 
-    def set_capacity(self, new_capacity, clock):
+    def set_capacity(self, new_capacity):
         """Apply a shift-boundary capacity; returns patients whose service starts now."""
         self.capacity = int(new_capacity)
         started = []
         while self.busy < self.capacity:
-            patient = self._start_next(clock)
+            patient = self._start_next()
             if patient is None:
                 break
             started.append(patient)
@@ -211,13 +199,3 @@ def decide_routing(policy, eds, order, tag, origin):
         if eds[j].busy == min_busy:
             return j
 
-
-def start_transfer(patient, origin, target, tau):
-    """Book-keep one redirection; returns the arrival time offset (minutes)."""
-    if target == origin:
-        raise ValueError(f"cannot transfer patient from ED {origin} to itself")
-    minutes = float(tau[origin][target])
-    patient.transfer_minutes += minutes
-    patient.redirects += 1
-    patient.serving = target
-    return minutes

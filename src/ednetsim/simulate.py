@@ -31,7 +31,6 @@ from .network import (
     decide_routing,
     nearest_order,
     slot_of,
-    start_transfer,
 )
 
 
@@ -99,14 +98,19 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     plan: integer array, one row per ED, one column per daily slot.
     policy: PolicySpec or policy id string.
     spec: ReplicationSpec (horizon, warm-up, seed).
-    record_patients: keep per-patient records of every completed visit
+    record_patients: keep a Patient record of every visit completed by a
+        patient triaged at or after warm-up, in completion order
         (diagnostics; off by default to save memory).
+
+    A patient is the timeline index of their arrival.  Events and ED queues
+    carry that index; origin and tag are the arrival's payload, the triage
+    time its timeline time, and the rest lives in lists indexed by it.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds)
-    tau = scenario.transfer
-    order = nearest_order(tau)
+    order = nearest_order(scenario.transfer)
+    tau = scenario.transfer.tolist()
     horizon, warmup = spec.horizon, spec.warmup
 
     thresholds = policy.p3_thresholds
@@ -139,65 +143,80 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     redirects_out = [0] * n
     created = discharged = 0
     records = [] if record_patients else None
-
-    def start_service(patient, ed_idx, clock):
-        k = starts[ed_idx]
-        starts[ed_idx] = k + 1
-        los_minutes = los[ed_idx].value(patient.tag, patient.entry_slot, k)
-        schedule(clock + los_minutes, SERVICE_COMPLETE, patient)
-
-    def board(patient, ed_idx, clock):
-        patient.serving = ed_idx
-        patient.entry_slot = slot_of(clock)
-        if eds[ed_idx].admit(patient, clock):
-            start_service(patient, ed_idx, clock)
+    triage = times.tolist()
+    serving, service_start, entry_slot = [0] * len(triage), [0.0] * len(triage), [0] * len(triage)
+    slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
     while True:
-        clock, _, kind, payload = pop()
+        clock, i, kind, payload = pop()
 
-        if kind == ARRIVAL:
-            ed_idx, tag = payload
-            created += 1
-            patient = Patient(tag, ed_idx, clock)
-            target = None
-            if routing_active:
-                target = decide_routing(policy, eds, order, tag, ed_idx)
-            if target is None:
-                board(patient, ed_idx, clock)
-            else:
-                if clock >= warmup:
-                    redirects_out[ed_idx] += 1
-                minutes = start_transfer(patient, ed_idx, target, tau)
-                schedule(clock + minutes, TRANSFER_COMPLETE, patient)
-
-        elif kind == SERVICE_COMPLETE:
-            patient = payload
+        if kind == SERVICE_COMPLETE:
+            i = payload
             discharged += 1
-            ed_idx = patient.serving
-            if patient.t_triage >= warmup:
-                nva[ed_idx][patient.tag][patient.entry_slot].append(patient.nva_minutes)
+            ed_idx = serving[i]
+            t_triage = triage[i]
+            if t_triage >= warmup:
+                origin, tag = payloads[i]
+                nva[ed_idx][tag][entry_slot[i]].append(service_start[i] - t_triage)
                 if records is not None:
-                    records.append(patient)
-            follower = eds[ed_idx].release(clock)
-            if follower is not None:
-                start_service(follower, ed_idx, clock)
+                    moved = ed_idx != origin
+                    records.append(Patient(
+                        tag, origin, ed_idx, t_triage, service_start[i],
+                        tau[origin][ed_idx] if moved else 0.0, int(moved), entry_slot[i],
+                    ))
+            i = eds[ed_idx].release()
+            if i is None:
+                continue
+            tag, entered = payloads[i][1], entry_slot[i]
 
-        elif kind == TRANSFER_COMPLETE:
-            # boarding without a routing decision: nobody is redirected twice
-            patient = payload
-            board(patient, patient.serving, clock)
+        else:
+            if kind == ARRIVAL:
+                ed_idx, tag = payload
+                created += 1
+                if routing_active:
+                    target = decide_routing(policy, eds, order, tag, ed_idx)
+                    if target is not None:
+                        if target == ed_idx:
+                            raise SimulationLogicError(f"ED {ed_idx} redirected to itself")
+                        if clock >= warmup:
+                            redirects_out[ed_idx] += 1
+                        serving[i] = target
+                        schedule(clock + tau[ed_idx][target], TRANSFER_COMPLETE, i)
+                        continue
 
-        elif kind == SLOT_BOUNDARY:
-            slot = slot_of(clock)
-            for i in staffed:
-                for started in eds[i].set_capacity(plan[i][slot], clock):
-                    start_service(started, i, clock)
+            elif kind == TRANSFER_COMPLETE:
+                # boarding without a routing decision: nobody is redirected twice
+                i = payload
+                ed_idx, tag = serving[i], payloads[i][1]
 
-        elif kind == END_OF_HORIZON:
-            break
+            elif kind == SLOT_BOUNDARY:
+                slot = slot_of(clock)
+                for e in staffed:
+                    for j in eds[e].set_capacity(plan[e][slot]):
+                        service_start[j] = clock
+                        k = starts[e]
+                        starts[e] = k + 1
+                        los_minutes = los[e].value(payloads[j][1], entry_slot[j], k)
+                        schedule(clock + los_minutes, SERVICE_COMPLETE, j)
+                continue
 
-        else:  # pragma: no cover - the calendar only holds the kinds above
-            raise SimulationLogicError(f"unhandled event kind {kind}")
+            elif kind == END_OF_HORIZON:
+                break
+
+            else:  # pragma: no cover - the calendar only holds the kinds above
+                raise SimulationLogicError(f"unhandled event kind {kind}")
+
+            # boarding: an arrival that stays, or a completed transfer
+            serving[i] = ed_idx
+            entry_slot[i] = entered = slot
+            if not eds[ed_idx].admit(i, tag):
+                continue
+
+        # service starts for patient i at ed_idx
+        service_start[i] = clock
+        k = starts[ed_idx]
+        starts[ed_idx] = k + 1
+        schedule(clock + los[ed_idx].value(tag, entered, k), SERVICE_COMPLETE, i)
 
     in_system = created - discharged
     queued = sum(ed.queue_length() for ed in eds)

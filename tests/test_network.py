@@ -9,18 +9,12 @@ from ednetsim.network import (
     RED,
     YELLOW,
     EDState,
-    Patient,
     PolicySpec,
     decide_routing,
     nearest_order,
     slot_of,
-    start_transfer,
     validate_transfer_matrix,
 )
-
-
-def mk(tag=YELLOW, origin=0, t=0.0):
-    return Patient(tag, origin, t)
 
 
 def test_slot_of():
@@ -34,75 +28,69 @@ def test_slot_of():
 
 def test_admit_starts_service_when_free():
     ed = EDState(capacity=2)
-    p = mk()
-    assert ed.admit(p, 5.0) is True
-    assert p.t_service_start == 5.0
+    assert ed.admit(0, YELLOW) is True
     assert ed.busy == 1 and ed.queue_length() == 0
 
 
 def test_admit_queues_when_full():
     ed = EDState(capacity=1)
-    ed.admit(mk(), 0.0)
-    p = mk(t=1.0)
-    assert ed.admit(p, 1.0) is False
-    assert p.t_service_start is None
+    ed.admit(0, YELLOW)
+    assert ed.admit(1, YELLOW) is False
     assert ed.busy == 1 and ed.queue_length() == 1
 
 
 def test_release_is_fifo_within_tag():
     ed = EDState(capacity=1)
-    ed.admit(mk(), 0.0)
-    first, second = mk(t=1.0), mk(t=2.0)
-    ed.admit(first, 1.0)
-    ed.admit(second, 2.0)
-    nxt = ed.release(10.0)
-    assert nxt is first and nxt.t_service_start == 10.0
-    assert ed.release(20.0) is second
+    ed.admit(0, YELLOW)
+    first, second = 1, 2
+    ed.admit(first, YELLOW)
+    ed.admit(second, YELLOW)
+    nxt = ed.release()
+    assert nxt == first
+    assert ed.release() == second
 
 
 def test_red_has_priority_over_earlier_yellow():
     ed = EDState(capacity=1)
-    ed.admit(mk(), 0.0)
-    yellow = mk(YELLOW, t=1.0)
-    red = mk(RED, t=2.0)
-    ed.admit(yellow, 1.0)
-    ed.admit(red, 2.0)
-    assert ed.release(5.0) is red
-    assert ed.release(6.0) is yellow
+    ed.admit(0, YELLOW)
+    yellow, red = 1, 2
+    ed.admit(yellow, YELLOW)
+    ed.admit(red, RED)
+    assert ed.release() == red
+    assert ed.release() == yellow
 
 
 def test_release_with_empty_queue_frees_resource():
     ed = EDState(capacity=2)
-    ed.admit(mk(), 0.0)
-    assert ed.release(3.0) is None
+    ed.admit(0, YELLOW)
+    assert ed.release() is None
     assert ed.busy == 0
 
 
 def test_capacity_drop_is_nonpreemptive():
     ed = EDState(capacity=3)
-    for _ in range(3):
-        ed.admit(mk(), 0.0)
-    assert ed.set_capacity(1, 480.0) == []
+    for p in range(3):
+        ed.admit(p, YELLOW)
+    assert ed.set_capacity(1) == []
     assert ed.busy == 3  # overloaded until services finish
-    ed.admit(mk(t=481.0), 481.0)
+    ed.admit(3, YELLOW)
     assert ed.queue_length() == 1
     # releases drain the excess before anyone new starts
-    assert ed.release(500.0) is None
-    assert ed.release(510.0) is None
+    assert ed.release() is None
+    assert ed.release() is None
     assert ed.busy == 1
-    started = ed.release(520.0)
+    started = ed.release()
     assert started is not None and ed.busy == 1
 
 
 def test_capacity_raise_starts_queued_red_first():
     ed = EDState(capacity=1)
-    ed.admit(mk(), 0.0)
-    y1, r1, y2 = mk(YELLOW, t=1.0), mk(RED, t=2.0), mk(YELLOW, t=3.0)
-    for p in (y1, r1, y2):
-        ed.admit(p, p.t_triage)
-    started = ed.set_capacity(3, 480.0)
+    ed.admit(0, YELLOW)
+    y1, r1, y2 = 1, 2, 3
+    for p, tag in ((y1, YELLOW), (r1, RED), (y2, YELLOW)):
+        ed.admit(p, tag)
+    started = ed.set_capacity(3)
     assert started == [r1, y1]
-    assert all(p.t_service_start == 480.0 for p in started)
     assert ed.busy == 3 and ed.queue_length() == 1
 
 
@@ -229,17 +217,6 @@ def test_p4_matches_reference_rule(case):
         others = [j for j in range(len(busy)) if j != origin]
         want = min(others, key=lambda j: (busy[j], tau[origin][j], j))
     assert got == want
-
-
-def test_start_transfer_bookkeeping():
-    p = mk(origin=0)
-    minutes = start_transfer(p, 0, 1, TAU)
-    assert minutes == 10.0
-    assert p.transfer_minutes == 10.0
-    assert p.redirects == 1
-    assert p.serving == 1
-    with pytest.raises(ValueError):
-        start_transfer(p, 2, 2, TAU)
 
 
 def test_policy_spec_validation():

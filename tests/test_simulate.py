@@ -22,6 +22,7 @@ from ednetsim import (
 from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import _seeded
 from ednetsim.distributions import ArrivalProcess, LosDistribution
+from ednetsim.engine import EventCalendar, SimulationLogicError
 from ednetsim.network import RED, YELLOW, PolicySpec
 
 from util import (
@@ -226,6 +227,45 @@ def test_nearest_ed_policies_property(case):
             assert p.nva_minutes >= p.transfer_minutes - 1e-9  # (t + tau) - t rounds
         else:
             assert p.serving == p.origin and p.transfer_minutes == 0.0
+
+
+def test_service_starts_are_stamped_by_the_loop():
+    # every visit takes exactly 30 minutes, so a patient who waited starts
+    # when another visit ends or when the shift boundary raises capacity
+    fixed = {"family": "empirical", "values": [30.0]}
+    sc = scenario_from_dict(
+        {
+            "eds": [
+                {
+                    "name": "A",
+                    "arrivals": {"yellow": {"rates": [0.06, 0.02, 0.02]},
+                                 "red": {"rates": [0.02, 0.01, 0.01]}},
+                    "los": {"yellow": fixed, "red": fixed},
+                }
+            ],
+            "plan_bounds": [1, 6],
+        }
+    )
+    spec = short_spec(seed=3, days=5, warmup=0.0)
+    out = run_replication(sc, np.array([[1, 3, 1]]), "P1", spec, record_patients=True)
+    ends = {p.t_service_start + 30.0 for p in out.patients}
+    raises = {480.0 + 1440.0 * d for d in range(5)}
+    free = [p for p in out.patients if p.t_service_start == p.t_triage]
+    waited = [p for p in out.patients if p.t_service_start != p.t_triage]
+    assert free and waited
+    for p in waited:
+        assert p.t_service_start > p.t_triage
+        assert p.t_service_start in ends or p.t_service_start in raises
+    at_raise = [p.t_service_start for p in waited if p.t_service_start in raises]
+    assert at_raise and all(at_raise.count(t) <= 2 for t in raises)
+
+
+def test_self_redirect_is_a_logic_error():
+    sc = asymmetric_pair_scenario()
+    plan = np.array([[1, 1, 1], [4, 4, 4]])
+    to_origin = mock.patch("ednetsim.simulate.decide_routing", lambda *args: args[-1])
+    with to_origin, pytest.raises(SimulationLogicError, match="to itself"):
+        run_replication(sc, plan, "P2", short_spec(days=1))
 
 
 def test_redirect_counts_only_under_diverting_policies():
@@ -533,3 +573,73 @@ def test_per_slot_los_table_keeps_one_row_per_distinct_distribution():
         [exponential] * 3,
     ]
     assert [[dist for dist, _ in slots] for slots in store.cells] == list(map(list, sc.los[0]))
+
+
+def _records_digest(records):
+    fields = [
+        (int(p.tag), int(p.origin), int(p.serving), float(p.t_triage),
+         float(p.t_service_start), float(p.transfer_minutes), int(p.redirects),
+         int(p.entry_slot))
+        for p in records
+    ]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+# sha256 over every field of run_replication's patient records, in
+# completion order, on a loaded three-ED network; any change to how a
+# patient is routed, queued, served or recorded moves them.
+PINNED_RECORDS = {
+    "P1": "8c515932702d8c67a1d05bce05e718f3020675dd15b87651f31de1ba91b4dfe2",
+    "P2": "5772c7e29633683e5c8c93ecf4a36de5f62d5d14f5c7824e2bf48749d1f57d09",
+    "P3 thresholds cascade": "852eb41cc47549110acb691ec80ee933801e85afece990ff8ba7f1d15f883305",
+    "P4": "ac26d0cb163b0162c3f626317030b7951e646bc15589a0a6c80a7190bf9deafb",
+}
+
+
+def test_patient_records_pinned():
+    policies = {
+        "P1": PolicySpec("P1"),
+        "P2": PolicySpec("P2"),
+        "P3 thresholds cascade": PolicySpec("P3", p3_thresholds=[2, 3, 2], cascade=True),
+        "P4": PolicySpec("P4"),
+    }
+    sc = network_scenario(n=3, rates_yellow=(0.05, 0.08, 0.04), rates_red=(0.01, 0.02, 0.01))
+    plan = np.array([[3, 4, 3], [4, 4, 5], [3, 3, 4]])
+    got = {}
+    for name, policy in policies.items():
+        out = run_replication(sc, plan, policy, short_spec(seed=17, days=6), record_patients=True)
+        assert len(out.patients) > 500
+        assert (sum(p.redirects for p in out.patients) > 0) == (policy.id != "P1")
+        got[name] = _records_digest(out.patients)
+    assert got == PINNED_RECORDS
+
+
+def counting_calls(owner, name):
+    """Patches owner.name to count its calls; returns (counter, patch)."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    return calls, mock.patch.object(owner, name, counted)
+
+
+# Calendar pops and schedules and LOS values computed by one small
+# saa_evaluate; a loop that skips or adds event work moves them.
+PINNED_EVENT_WORK = {
+    "P1": (6267, 1283, 1148),
+    "P4": (6195, 1211, 1147),
+}
+
+
+@pytest.mark.parametrize("policy", ["P1", "P4"])
+def test_event_work_pinned(policy):
+    sc = _loaded_network(policy)
+    pops, pop_patch = counting_calls(EventCalendar, "pop")
+    schedules, schedule_patch = counting_calls(EventCalendar, "schedule")
+    samples, sample_patch = counting_calls(LosDistribution, "sample")
+    with pop_patch, schedule_patch, sample_patch:
+        saa_evaluate(sc, plan_for(sc, 1), policy, replications=3)
+    assert (pops[0], schedules[0], samples[0]) == PINNED_EVENT_WORK[policy]
