@@ -40,13 +40,12 @@ def simulated_waits(scenario, capacities, replications, ed):
     return sum(waits, np.zeros((SLOTS_PER_DAY, 2))) / replications
 
 
-def calibrate_ed(scenario, ed, real, replications, bounds=None):
-    """Exhaustively fit one ED's three slot capacities to its real waits.
+def calibrate_ed(scenario, ed, real, replications):
+    """Fit one ED's slot capacities to its real waits, trying every triple in plan_bounds.
 
     ed: the ED's index in the scenario; it is simulated alone (see
         simulated_waits).
     real: 3x2 (slot, tag) observed mean waits in minutes.
-    bounds: capacity range (low, high) within plan_bounds, default plan_bounds.
     Returns (capacities, error): the best triple and its L1 error.
     """
     real = np.asarray(real, dtype=float)
@@ -54,25 +53,15 @@ def calibrate_ed(scenario, ed, real, replications, bounds=None):
         raise ValueError(f"real wait table must be {SLOTS_PER_DAY}x2, got {real.shape}")
     if (real < 0).any():
         raise ValueError("real waits must be non-negative")
-    plan_lo, plan_hi = scenario.plan_bounds
-    lo, hi = scenario.plan_bounds if bounds is None else (int(bounds[0]), int(bounds[1]))
-    if not plan_lo <= lo <= hi <= plan_hi:
-        raise ValueError(
-            f"capacity bounds [{lo}, {hi}] must be a range within "
-            f"plan_bounds [{plan_lo}, {plan_hi}]"
-        )
-
-    best = None
-    for triple in product(range(lo, hi + 1), repeat=SLOTS_PER_DAY):
-        waits = simulated_waits(scenario, triple, replications, ed)
-        err = l1_error(waits, real)
-        key = (err, sum(triple), triple)
-        if best is None or key < best:
-            best = key
-    return best[2], best[0]
+    lo, hi = scenario.plan_bounds
+    err, _, triple = min(
+        (l1_error(simulated_waits(scenario, t, replications, ed), real), sum(t), t)
+        for t in product(range(lo, hi + 1), repeat=SLOTS_PER_DAY)
+    )
+    return triple, err
 
 
-def calibrate_network(scenario, replications, bounds=None):
+def calibrate_network(scenario, replications):
     """Calibrate every ED of a scenario independently.
 
     Requires scenario.real_waits.  Returns (plan, errors): an (n_eds, 3)
@@ -84,7 +73,5 @@ def calibrate_network(scenario, replications, bounds=None):
     plan = np.zeros((n, SLOTS_PER_DAY), dtype=int)
     errors = np.zeros(n)
     for i in range(n):
-        plan[i], errors[i] = calibrate_ed(
-            scenario, i, scenario.real_waits[i], replications, bounds
-        )
+        plan[i], errors[i] = calibrate_ed(scenario, i, scenario.real_waits[i], replications)
     return plan, errors

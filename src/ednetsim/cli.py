@@ -1,9 +1,10 @@
 """Command-line interface: simulate, calibrate, optimize, report.
 
-Every command reads one scenario file, honours a single --seed flag that
-replaces the scenario's replication.seed (all replication seeds derive
-from it) and writes CSV tables plus a plain text run log into --out.
-Reruns with identical inputs and seed produce byte-identical CSV files.
+simulate, calibrate and optimize read one scenario file, to which main applies
+--seed (replication.seed, from which all replication seeds derive), --policy
+(the policy id) and --bounds (a narrower plan_bounds); report reads no scenario.
+Every command writes CSV tables plus a plain text run log into --out.  Reruns
+with identical inputs and seed produce byte-identical CSV files.
 """
 
 import argparse
@@ -33,18 +34,22 @@ from .scenario import ScenarioError, _integer, parse_scenario
 from .solver import BoxedIntegerProblem, solve
 
 
-def _seeded(scenario, seed):
-    """The scenario with --seed, if given, as replication.seed, checked like that key."""
-    if seed is None:
-        return scenario
-    seed = _integer(seed, "--seed", minimum=0)
-    return replace(scenario, replication=replace(scenario.replication, seed=seed))
-
-
-def _policy(scenario, policy_id):
-    if policy_id is None:
-        return scenario.policy
-    return replace(scenario.policy, id=policy_id)
+def _with_flags(scenario, args):
+    """The scenario with args' --seed (checked like replication.seed), --policy
+    (the id only: p3_thresholds and cascade stay) and --bounds (within plan_bounds)."""
+    replication, policy = scenario.replication, scenario.policy
+    if args.seed is not None:
+        replication = replace(replication, seed=_integer(args.seed, "--seed", minimum=0))
+    if getattr(args, "policy", None) is not None:
+        policy = replace(policy, id=args.policy)
+    plan_lo, plan_hi = scenario.plan_bounds
+    lo, hi = getattr(args, "bounds", None) or scenario.plan_bounds
+    if not plan_lo <= lo <= hi <= plan_hi:
+        raise ValueError(
+            f"capacity bounds [{lo}, {hi}] must be a range within "
+            f"plan_bounds [{plan_lo}, {plan_hi}]"
+        )
+    return replace(scenario, replication=replication, policy=policy, plan_bounds=(lo, hi))
 
 
 def _starting_plan(scenario, out_dir):
@@ -71,13 +76,11 @@ def _starting_plan(scenario, out_dir):
     )
 
 
-def cmd_simulate(scenario, replications, out_dir, policy=None, seed=None):
+def cmd_simulate(scenario, replications, out_dir):
     """Estimate NVA times of the starting plan; writes nva.csv and diversions.csv."""
     t0 = time.perf_counter()
-    scenario = _seeded(scenario, seed)
-    pol = _policy(scenario, policy)
     plan = _starting_plan(scenario, out_dir)
-    summary = saa_evaluate(scenario, plan, pol, replications=replications)
+    summary = saa_evaluate(scenario, plan, scenario.policy, replications=replications)
     write_nva_csv(os.path.join(out_dir, "nva.csv"), scenario.ed_names, summary)
     write_diversions_csv(os.path.join(out_dir, "diversions.csv"), scenario.ed_names, summary)
     write_run_log(
@@ -85,7 +88,7 @@ def cmd_simulate(scenario, replications, out_dir, policy=None, seed=None):
         [
             "command: simulate",
             f"scenario: {scenario.name}",
-            f"policy: {pol.id}",
+            f"policy: {scenario.policy.id}",
             f"seed: {scenario.replication.seed}",
             f"replications: {replications}",
             f"objective: {fmt_minutes(summary.objective)}",
@@ -93,21 +96,22 @@ def cmd_simulate(scenario, replications, out_dir, policy=None, seed=None):
             f"wall_seconds: {time.perf_counter() - t0:.2f}",
         ],
     )
-    return summary
+    for i, name in enumerate(scenario.ed_names):
+        for tag, tag_name in enumerate(TAG_NAMES):
+            print(f"{name} {tag_name}: {fmt_minutes(summary.nva_ci(i, tag).mean)} min")
 
 
-def cmd_calibrate(scenario, replications, out_dir, seed=None, bounds=None):
-    """Fit per-ED slot capacities to the scenario's real waits."""
+def cmd_calibrate(scenario, replications, out_dir):
+    """Fit per-ED slot capacities within plan_bounds to the scenario's real waits."""
     t0 = time.perf_counter()
-    scenario = _seeded(scenario, seed)
-    plan, errors = calibrate_network(scenario, replications, bounds)
+    plan, errors = calibrate_network(scenario, replications)
     write_plan_csv(os.path.join(out_dir, "calibrated_plan.csv"), scenario.ed_names, plan)
     lines = [
         "command: calibrate",
         f"scenario: {scenario.name}",
         f"seed: {scenario.replication.seed}",
         f"replications: {replications}",
-        f"bounds: {list(bounds or scenario.plan_bounds)}",
+        f"bounds: {list(scenario.plan_bounds)}",
     ]
     lines += [
         f"l1_error[{name}]: {fmt_minutes(err)}"
@@ -115,14 +119,14 @@ def cmd_calibrate(scenario, replications, out_dir, seed=None, bounds=None):
     ]
     lines.append(f"wall_seconds: {time.perf_counter() - t0:.2f}")
     write_run_log(os.path.join(out_dir, "calibrate.log"), lines)
-    return plan, errors
+    for name, row in zip(scenario.ed_names, plan):
+        print(f"{name}: {tuple(int(v) for v in row)}")
 
 
-def cmd_optimize(scenario, budget, replications, out_dir, policy=None, seed=None):
+def cmd_optimize(scenario, budget, replications, out_dir):
     """Search resource plans minimizing the penalized NVA cost for one policy."""
     t0 = time.perf_counter()
-    scenario = _seeded(scenario, seed)
-    pol = _policy(scenario, policy)
+    pol = scenario.policy
     start = _starting_plan(scenario, out_dir)
     lo, hi = scenario.plan_bounds
     evaluate = make_allocation_problem(scenario, pol, replications)
@@ -174,8 +178,11 @@ def cmd_optimize(scenario, budget, replications, out_dir, policy=None, seed=None
             f"wall_seconds: {time.perf_counter() - t0:.2f}",
         ],
     )
+    print(
+        f"{pol.id}: f_start={fmt_minutes(start_summary.objective)} "
+        f"f_opt={fmt_minutes(result.f)} evaluations={result.evaluations}"
+    )
     return {
-        "policy": pol.id,
         "plan": best_summary.plan,
         "f_start": start_summary.objective,
         "f_opt": result.f,
@@ -188,17 +195,15 @@ def cmd_optimize(scenario, budget, replications, out_dir, policy=None, seed=None
 def cmd_report(out_dir):
     """Merge per-policy optimize outputs into summary tables."""
     plans, results = {}, {}
-    ed_names = None
     for policy in POLICY_IDS:
         plan_path = os.path.join(out_dir, f"optimal_plan_{policy}.csv")
         obj_path = os.path.join(out_dir, f"objective_{policy}.csv")
         if not (os.path.exists(plan_path) and os.path.exists(obj_path)):
             continue
         names, plan = read_plan_csv(plan_path)
-        if ed_names is None:
-            ed_names = names
-        elif names != ed_names:
+        if plans and names != ed_names:
             raise ValueError(f"{plan_path}: ED names disagree with other policies")
+        ed_names = names
         plans[policy] = plan
         results[policy] = read_objective_csv(obj_path)
     if not plans:
@@ -241,7 +246,7 @@ def _build_parser():
         nargs=2,
         default=None,
         metavar=("LO", "HI"),
-        help="capacity search range (default: the scenario's plan_bounds)",
+        help="capacity search range within the scenario's plan_bounds (default: all of it)",
     )
 
     p = sub.add_parser("optimize", help="minimize the penalized NVA cost")
@@ -258,45 +263,18 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            cmd_report(out_dir=args.out)
+            cmd_report(args.out)
             return 0
-        scenario = parse_scenario(args.scenario)
+        replications = _integer(args.replications, "--replications", minimum=1)
+        if args.command == "optimize":
+            budget = _integer(args.budget, "--budget", minimum=0)
+        scenario = _with_flags(parse_scenario(args.scenario), args)
         if args.command == "simulate":
-            summary = cmd_simulate(
-                scenario,
-                policy=args.policy,
-                replications=args.replications,
-                seed=args.seed,
-                out_dir=args.out,
-            )
-            for i, name in enumerate(scenario.ed_names):
-                for tag, tag_name in enumerate(TAG_NAMES):
-                    ci = summary.nva_ci(i, tag)
-                    print(f"{name} {tag_name}: {fmt_minutes(ci.mean)} min")
+            cmd_simulate(scenario, replications, args.out)
         elif args.command == "calibrate":
-            plan, _ = cmd_calibrate(
-                scenario,
-                replications=args.replications,
-                seed=args.seed,
-                out_dir=args.out,
-                bounds=args.bounds,
-            )
-            for name, row in zip(scenario.ed_names, plan):
-                print(f"{name}: {tuple(int(v) for v in row)}")
-        elif args.command == "optimize":
-            outcome = cmd_optimize(
-                scenario,
-                policy=args.policy,
-                budget=args.budget,
-                replications=args.replications,
-                seed=args.seed,
-                out_dir=args.out,
-            )
-            print(
-                f"{outcome['policy']}: f_start={fmt_minutes(outcome['f_start'])} "
-                f"f_opt={fmt_minutes(outcome['f_opt'])} "
-                f"evaluations={outcome['result'].evaluations}"
-            )
+            cmd_calibrate(scenario, replications, args.out)
+        else:
+            cmd_optimize(scenario, budget, replications, args.out)
     except (ScenarioError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

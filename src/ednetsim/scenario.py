@@ -174,7 +174,11 @@ def scenario_from_dict(data, name="inline"):
     for i, ed in enumerate(eds):
         path = f"eds[{i}]"
         _known_keys(ed, ("name", "arrivals", "los", "real_waits"), path)
-        ed_names.append(str(ed.get("name", f"ED{i + 1}")))
+        ed_name = str(ed.get("name", f"ED{i + 1}"))
+        if ed_name in ed_names:
+            taken = f"eds[{ed_names.index(ed_name)}]"
+            raise ScenarioError(f"{path}.name: {ed_name!r} is already the name of {taken}")
+        ed_names.append(ed_name)
 
         arr_node = ed.get("arrivals") or {}
         _known_keys(arr_node, TAG_NAMES, f"{path}.arrivals", kind="tag")

@@ -9,6 +9,7 @@ item of the whole suite (a few minutes).
 
 import copy
 import math
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -287,7 +288,8 @@ def test_reruns_are_byte_identical(tmp_path):
     dirs = (tmp_path / "a", tmp_path / "b")
     for out_dir in dirs:
         cmd_simulate(scenario, replications=2, out_dir=str(out_dir))
-        cmd_optimize(scenario, policy="P2", budget=5, replications=2, out_dir=str(out_dir))
+        p2 = replace(scenario, policy=replace(scenario.policy, id="P2"))
+        cmd_optimize(p2, budget=5, replications=2, out_dir=str(out_dir))
         cmd_report(out_dir=str(out_dir))
     names = [
         "nva.csv",
@@ -318,7 +320,7 @@ def test_calibration_recovers_known_capacities():
     scenario = with_replication(scenario, base)
     true_caps = (4, 5, 3)
     real = simulated_waits(scenario, true_caps, replications=10, ed=0)
-    caps, err = calibrate_ed(scenario, 0, real, bounds=(2, 5), replications=10)
+    caps, err = calibrate_ed(replace(scenario, plan_bounds=(2, 5)), 0, real, replications=10)
     _criterion(
         "calibration self-recovery",
         tuple(caps) == true_caps and err == 0.0,
@@ -331,7 +333,10 @@ def test_optimization_reproduces_policy_ordering(tmp_path):
     results = {}
     for policy in POLICY_IDS:
         results[policy] = cmd_optimize(
-            scenario, policy=policy, budget=300, replications=10, out_dir=str(tmp_path)
+            replace(scenario, policy=replace(scenario.policy, id=policy)),
+            budget=300,
+            replications=10,
+            out_dir=str(tmp_path),
         )
 
     # the starting point must sit in the same regime as the published one:

@@ -48,7 +48,7 @@ def test_self_recovery():
     true_caps = (4, 5, 3)
     real = simulated_waits(sc, true_caps, replications=2, ed=0)
     assert real.max() > 0.0
-    caps, err = calibrate_ed(sc, 0, real, bounds=(2, 5), replications=2)
+    caps, err = calibrate_ed(replace(sc, plan_bounds=(2, 5)), 0, real, replications=2)
     assert caps == true_caps
     assert err == 0.0
 
@@ -57,7 +57,7 @@ def test_zero_waits_drive_capacities_to_maximum():
     sc = single_ed_scenario(rates_yellow=(0.3, 0.3, 0.3), los_mean=30.0)
     base = ReplicationSpec(horizon=10 * 1440.0, warmup=480.0, seed=5)
     sc = with_replication(sc, base)
-    caps, err = calibrate_ed(sc, 0, np.zeros((3, 2)), bounds=(2, 4), replications=2)
+    caps, err = calibrate_ed(replace(sc, plan_bounds=(2, 4)), 0, np.zeros((3, 2)), replications=2)
     assert caps == (4, 4, 4)
     assert err > 0.0
 
@@ -69,7 +69,7 @@ def test_grid_matches_independent_enumeration():
     base = ReplicationSpec(horizon=8 * 1440.0, warmup=480.0, seed=11)
     sc = with_replication(sc, base)
     real = np.full((3, 2), 12.0)
-    caps, err = calibrate_ed(sc, 0, real, bounds=(2, 4), replications=2)
+    caps, err = calibrate_ed(replace(sc, plan_bounds=(2, 4)), 0, real, replications=2)
 
     best = None
     for triple in product(range(2, 5), repeat=3):
@@ -113,7 +113,7 @@ def test_calibrate_network_recovers_every_ed():
         for i in range(2)
     ]
     sc.real_waits = np.stack(rows)
-    plan, errors = calibrate_network(sc, bounds=(2, 4), replications=2)
+    plan, errors = calibrate_network(replace(sc, plan_bounds=(2, 4)), replications=2)
     assert np.array_equal(plan, true_plan)
     assert np.allclose(errors, 0.0)
 
@@ -121,7 +121,7 @@ def test_calibrate_network_recovers_every_ed():
 def test_calibrate_network_requires_real_waits():
     sc = network_scenario(n=2)
     with pytest.raises(ValueError):
-        calibrate_network(sc, bounds=(2, 3), replications=1)
+        calibrate_network(sc, replications=1)
 
 
 def test_calibrate_ed_input_validation():
@@ -134,8 +134,6 @@ def test_calibrate_ed_input_validation():
         calibrate_ed(single, 0, np.zeros((2, 2)), replications=1)
     with pytest.raises(ValueError):
         calibrate_ed(single, 0, np.full((3, 2), -1.0), replications=1)
-    with pytest.raises(ValueError):
-        calibrate_ed(single, 0, np.zeros((3, 2)), replications=1, bounds=(5, 2))
     for replications in (0, -1):
         with pytest.raises(ValueError, match="at least one replication"):
             calibrate_ed(single, 0, np.zeros((3, 2)), replications=replications)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -250,8 +251,30 @@ def test_calibrate_needs_one_replication(tmp_path, capsys, replications):
             "--bounds", "2", "3", "--out", str(tmp_path)]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: need at least one replication, got {replications}")
+    assert err.startswith(f"error: --replications: value {replications} below minimum 1")
     assert not (tmp_path / "calibrated_plan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, minimum",
+    [
+        ("simulate", "--replications", "0", 1),
+        ("optimize", "--replications", "-1", 1),
+        ("optimize", "--budget", "-1", 0),
+    ],
+)
+def test_flag_errors_name_the_flag(
+    scenario_file, tmp_path, capsys, monkeypatch, command, flag, value, minimum
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError(f"simulated before checking {flag}")
+
+    monkeypatch.setattr(simulate, "run_replication", no_simulation)
+    args = [command, "--scenario", str(scenario_file), flag, value, "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: value {value} below minimum {minimum}")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_calibrated_plan_for_other_eds_fails(tmp_path, capsys):
@@ -358,9 +381,9 @@ def test_optimize_improves_and_report_merges(scenario_file, tmp_path):
     out = tmp_path / "out"
     results = {}
     for policy in ("P1", "P2"):
+        scenario = parse_scenario(scenario_file)
         outcome = cmd_optimize(
-            parse_scenario(scenario_file),
-            policy=policy,
+            replace(scenario, policy=replace(scenario.policy, id=policy)),
             budget=15,
             replications=2,
             out_dir=str(out),
@@ -516,3 +539,104 @@ def test_cli_outputs_pinned(scenario_file, tmp_path):
     digests["calibrate"] = _csv_digests(out)
 
     assert digests == PINNED_DIGESTS
+
+
+# What a user sees: each command's stdout, and each run log without its
+# wall_seconds line (wall-clock time is excluded from the byte guarantee).
+PINNED_STDOUT = {
+    "simulate_P1": (
+        "busy yellow: 0.00 min\nbusy red: 955.70 min\n"
+        "idle yellow: 0.00 min\nidle red: 0.00 min\n"
+    ),
+    "simulate_P4": (
+        "busy yellow: 0.00 min\nbusy red: 771.78 min\n"
+        "idle yellow: 12.37 min\nidle red: 14.73 min\n"
+    ),
+    "optimize_P2": "P2: f_start=240039.96 f_opt=240039.96 evaluations=6\n",
+    "report": "",
+    "calibrate": "busy: (3, 3, 3)\nidle: (2, 2, 2)\n",
+}
+
+PINNED_LOGS = {
+    "simulate_P1/simulate.log": [
+        "command: simulate", "scenario: pair", "policy: P1", "seed: 5",
+        "replications: 2", "objective: 580617.47", "total_violation: 935.70",
+    ],
+    "simulate_P4/simulate.log": [
+        "command: simulate", "scenario: pair", "policy: P4", "seed: 5",
+        "replications: 2", "objective: 482815.97", "total_violation: 751.78",
+    ],
+    "optimize_P2/optimize_P2.log": [
+        "command: optimize", "scenario: pair", "policy: P2", "seed: 5",
+        "replications: 2", "budget: 6", "evaluations: 6", "sweeps: 1",
+        "converged: False", "f_start: 240039.96", "f_opt: 240039.96",
+        "total_violation_opt: 332.88", "total_resources_opt: 15",
+    ],
+    "optimize_P2/report.log": ["command: report", "policies: P2"],
+    "calibrate/calibrate.log": [
+        "command: calibrate", "scenario: calpair", "seed: 19", "replications: 1",
+        "bounds: [2, 3]", "l1_error[busy]: 225.29", "l1_error[idle]: 0.00",
+    ],
+}
+
+
+def test_cli_stdout_and_logs_pinned(scenario_file, tmp_path, capsys):
+    cal = tmp_path / "cal.yaml"
+    cal.write_text(CALIBRATE_SCENARIO)
+    common = ["--replications", "2", "--seed", "5"]
+    runs = [
+        ("simulate_P1", ["simulate", "--scenario", str(scenario_file), "--policy", "P1", *common]),
+        ("simulate_P4", ["simulate", "--scenario", str(scenario_file), "--policy", "P4", *common]),
+        ("optimize_P2", ["optimize", "--scenario", str(scenario_file), "--policy", "P2",
+                         "--budget", "6", *common]),
+        ("report", ["report"]),
+        ("calibrate", ["calibrate", "--scenario", str(cal), "--bounds", "2", "3",
+                       "--replications", "1"]),
+    ]
+    stdout = {}
+    for name, args in runs:
+        out = tmp_path / ("optimize_P2" if name == "report" else name)
+        assert main([*args, "--out", str(out)]) == 0
+        stdout[name] = capsys.readouterr().out
+    assert stdout == PINNED_STDOUT
+
+    logs = {}
+    for log in sorted(tmp_path.glob("*/*.log")):
+        lines = log.read_text().splitlines()
+        logs[f"{log.parent.name}/{log.name}"] = [
+            line for line in lines if not line.startswith("wall_seconds: ")
+        ]
+    assert logs == PINNED_LOGS
+
+
+def test_flags_equal_scenario_edits(tmp_path):
+    # --policy replaces the id only: the file's p3_thresholds and cascade stay
+    policy = "policy: {id: P2, p3_thresholds: [1, 2], cascade: true}"
+    flagged = tmp_path / "flagged.yaml"
+    flagged.write_text(SCENARIO.replace("policy: P2", policy))
+    edited = tmp_path / "edited.yaml"
+    edited.write_text(
+        SCENARIO.replace("policy: P2", policy.replace("id: P2", "id: P3")).replace(
+            "seed: 19", "seed: 5"
+        )
+    )
+    common = ["--replications", "2"]
+    assert main(["simulate", "--scenario", str(flagged), "--seed", "5", "--policy", "P3",
+                 *common, "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--scenario", str(edited), *common,
+                 "--out", str(tmp_path / "b")]) == 0
+    for name in ("nva.csv", "diversions.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # --bounds narrows plan_bounds for the run
+    cal = tmp_path / "cal.yaml"
+    cal.write_text(CALIBRATE_SCENARIO)
+    narrowed = tmp_path / "narrowed.yaml"
+    narrowed.write_text(CALIBRATE_SCENARIO.replace("plan_bounds: [1, 6]", "plan_bounds: [2, 3]"))
+    common = ["--replications", "1"]
+    assert main(["calibrate", "--scenario", str(cal), "--bounds", "2", "3", *common,
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["calibrate", "--scenario", str(narrowed), *common,
+                 "--out", str(tmp_path / "d")]) == 0
+    plan = "calibrated_plan.csv"
+    assert (tmp_path / "c" / plan).read_bytes() == (tmp_path / "d" / plan).read_bytes()

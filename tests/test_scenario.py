@@ -176,6 +176,27 @@ def test_real_waits_parsing_and_partial_error():
     assert sc.real_waits[0, 2, RED] == 12.0
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["A", "A"], r"eds\[1\]\.name: 'A' is already the name of eds\[0\]"),
+        (["B", "ED3", None], r"eds\[2\]\.name: 'ED3' is already the name of eds\[1\]"),
+        (["ED2", None], r"eds\[1\]\.name: 'ED2' is already the name of eds\[0\]"),
+    ],
+)
+def test_duplicate_ed_names_rejected(names, message):
+    # the CSVs and report tell EDs apart by name, given or defaulted
+    eds = [minimal_ed(name) for name in names]
+    for ed in eds:
+        if ed["name"] is None:
+            del ed["name"]
+    n = len(eds)
+    transfer = [[0 if i == j else 5 for j in range(n)] for i in range(n)]
+    data = {"eds": eds, "transfer_minutes": transfer}
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(data)
+
+
 def test_starting_plan_validation():
     data = {"eds": [minimal_ed()], "starting_plan": [[4, 4, 4]]}
     sc = scenario_from_dict(data)

@@ -1,5 +1,6 @@
 """Replication-driver tests: conservation, warm-up, determinism, policies."""
 
+import argparse
 import hashlib
 import math
 import re
@@ -20,7 +21,7 @@ from ednetsim import (
     scenario_from_dict,
 )
 from ednetsim.calibrate import simulated_waits
-from ednetsim.cli import _seeded
+from ednetsim.cli import _with_flags
 from ednetsim.distributions import ArrivalProcess, LosDistribution
 from ednetsim.engine import EventCalendar, SimulationLogicError
 from ednetsim.network import RED, YELLOW, PolicySpec
@@ -541,7 +542,8 @@ def test_copies_start_with_no_los_values():
     run_replication(sc, plan_for(sc, 2), "P2", short_spec(seed=4, days=3))
     saa_evaluate(sc, plan_for(sc, 2), "P1", replications=1)
     assert sc.los_values and sc.solo_runs
-    for copy in (replace(sc), _seeded(sc, 11), with_replication(sc, short_spec())):
+    flags = argparse.Namespace(seed=11)
+    for copy in (replace(sc), _with_flags(sc, flags), with_replication(sc, short_spec())):
         assert copy.los_values == {}
         assert copy.solo_runs == {}
 
