@@ -12,7 +12,6 @@ from .engine import EventCalendar, RandomStreams, ReplicationSpec, SimulationLog
 from .network import (
     RED,
     YELLOW,
-    EDState,
     Patient,
     PolicySpec,
     decide_routing,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrivalProcess",
     "BoxedIntegerProblem",
-    "EDState",
     "EventCalendar",
     "LosDistribution",
     "MeanCI",

@@ -13,7 +13,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri, stdtrit
 
 SLOT_MINUTES = 480.0
 SLOTS_PER_DAY = 3
@@ -208,6 +207,11 @@ class LosDistribution:
                 raise ValueError("empirical LOS values must be positive")
             p = {"values": values}
         self.params = p
+        if self.family in ("lognormal", "gamma"):
+            # scipy takes about 0.3 s to import, so only the families that need it load it
+            from scipy import special
+
+            self._inverse = special.ndtri if self.family == "lognormal" else special.gammaincinv
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1); one uniform per sample."""
@@ -215,9 +219,9 @@ class LosDistribution:
         if self.family == "exponential":
             x = -p["mean"] * math.log(1.0 - u)
         elif self.family == "lognormal":
-            x = math.exp(p["mu"] + p["sigma"] * ndtri(u)) if u > 0.0 else 0.0
+            x = math.exp(p["mu"] + p["sigma"] * self._inverse(u)) if u > 0.0 else 0.0
         elif self.family == "gamma":
-            x = float(gammaincinv(p["shape"], u)) * p["scale"]
+            x = float(self._inverse(p["shape"], u)) * p["scale"]
         elif self.family == "weibull":
             x = p["scale"] * (-math.log(1.0 - u)) ** (1.0 / p["shape"])
         else:
@@ -282,6 +286,8 @@ class MeanCI:
 
 def t_critical(df):
     """Two-sided 95% Student-t critical value (one-sided level 0.975)."""
+    from scipy.special import stdtrit
+
     return float(stdtrit(df, 0.975))
 
 

@@ -7,9 +7,9 @@ clock, and a family of independent random substreams derived from a
 single replication seed.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class EventCalendar:
                 f"before current clock t={self.clock:g}"
             )
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heappush(self._heap, (time, self._seq, kind, payload))
 
     def pop(self):
         """Remove and return the next (time, seq, kind, payload); advances the clock.
@@ -73,7 +73,7 @@ class EventCalendar:
         t = self._arrival_times[i]
         heap = self._heap
         if heap and heap[0][0] <= t:
-            ev = heapq.heappop(heap)
+            ev = heappop(heap)
             self.clock = ev[0]
             return ev
         if t == math.inf:

@@ -1,14 +1,10 @@
-"""Emergency-department network model: priority queues, diversion, transfers.
+"""Emergency-department network model: diversion policies and transfers.
 
-Each ED is a single multi-server queue whose server count ("sanitary
-resources") changes at the three daily shift boundaries.  Red-tagged
-patients have non-preemptive priority over yellow ones; within a tag the
-queue is FIFO.  Four diversion policies decide whether an arriving
-patient boards at the origin ED or is redirected to another ED of the
-network.
+Four diversion policies decide whether an arriving patient boards at the
+origin ED or is redirected to another ED of the network; the event loop
+in simulate.py keeps each ED's servers and boarding queues.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,69 +73,6 @@ class Patient(NamedTuple):
         return self.t_service_start - self.t_triage
 
 
-class EDState:
-    """Occupancy and boarding queues of one ED.
-
-    A patient is whatever the event loop passes (a timeline index); the
-    loop keeps their service start times.  Capacity changes are
-    non-preemptive: when a shift boundary lowers the server count below
-    the number of patients in service, the excess drains as services
-    complete and nobody is dequeued until busy falls below the new capacity.
-    """
-
-    __slots__ = ("capacity", "busy", "p3_threshold", "_queues")
-
-    def __init__(self, capacity, p3_threshold=None):
-        self.capacity = int(capacity)
-        self.busy = 0
-        self.p3_threshold = p3_threshold
-        self._queues = (deque(), deque())  # indexed by tag: yellow, red
-
-    def queue_length(self):
-        return len(self._queues[YELLOW]) + len(self._queues[RED])
-
-    def diversion_threshold(self):
-        """Occupancy at or above which this ED counts as on (partial) diversion."""
-        if self.p3_threshold is None:
-            return self.capacity
-        return min(self.p3_threshold, self.capacity)
-
-    def admit(self, patient, tag):
-        """Seize a free resource (True) or board the patient behind their tag (False)."""
-        if self.busy < self.capacity:
-            self.busy += 1
-            return True
-        self._queues[tag].append(patient)
-        return False
-
-    def _start_next(self):
-        """Seize a resource for the first boarded red patient, else yellow; None if empty."""
-        yellow, red = self._queues
-        queue = red or yellow
-        if not queue:
-            return None
-        self.busy += 1
-        return queue.popleft()
-
-    def release(self):
-        """Release one resource; returns the boarded patient whose service starts, if any."""
-        self.busy -= 1
-        if self.busy < self.capacity:
-            return self._start_next()
-        return None
-
-    def set_capacity(self, new_capacity):
-        """Apply a shift-boundary capacity; returns patients whose service starts now."""
-        self.capacity = int(new_capacity)
-        started = []
-        while self.busy < self.capacity:
-            patient = self._start_next()
-            if patient is None:
-                break
-            started.append(patient)
-        return started
-
-
 def validate_transfer_matrix(tau):
     """Ambulance transport times: square, zero diagonal, positive elsewhere."""
     tau = np.asarray(tau, dtype=float)
@@ -167,35 +100,36 @@ def nearest_order(tau):
     ]
 
 
-def decide_routing(policy, eds, order, tag, origin):
+def decide_routing(policy, busy, capacity, thresholds, order, tag, origin):
     """Board-or-redirect decision for a patient arriving at `origin`.
 
-    order is nearest_order of the transfer matrix; every policy tries candidates
-    in that order.  Returns the target ED index for a redirection, or None to board.
+    busy, capacity and thresholds hold each ED's servers in use, its current
+    server count and its P3 occupancy threshold (math.inf for none: full
+    occupancy).  order is nearest_order of the transfer matrix; every policy
+    tries candidates in that order.  Returns the target ED index for a
+    redirection, or None to board.
     """
     if policy.id == "P1":
         return None
-    origin_ed = eds[origin]
 
     if policy.id in ("P2", "P3"):
         # nearest-ED rule; under P2 every threshold is full occupancy
         if policy.id == "P3" and tag == RED:
             return None
-        if origin_ed.busy < origin_ed.diversion_threshold():
+        if busy[origin] < min(thresholds[origin], capacity[origin]):
             return None
         candidates = order[origin] if policy.cascade else order[origin][:1]
         for j in candidates:
-            if eds[j].busy < eds[j].diversion_threshold():
+            if busy[j] < min(thresholds[j], capacity[j]):
                 return j
         return None
 
     # P4: least occupied ED of the whole network (origin included), nearest on ties
-    if origin_ed.busy < origin_ed.capacity:
+    if busy[origin] < capacity[origin]:
         return None
-    min_busy = min(ed.busy for ed in eds)
-    if origin_ed.busy == min_busy:
+    min_busy = min(busy)
+    if busy[origin] == min_busy:
         return None
     for j in order[origin]:
-        if eds[j].busy == min_busy:
+        if busy[j] == min_busy:
             return j
-

@@ -7,6 +7,8 @@ non-value-added time to the ED that eventually serves them, in the slot
 during which they entered that ED.
 """
 
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +27,6 @@ from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, LosStore
 from .network import (
     RED,
     YELLOW,
-    EDState,
     Patient,
     PolicySpec,
     decide_routing,
@@ -105,10 +106,19 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     A patient is the timeline index of their arrival.  Events and ED queues
     carry that index; origin and tag are the arrival's payload, the triage
     time its timeline time, and the rest lives in lists indexed by it.
+
+    Each ED is a multi-server queue whose server count (its "sanitary
+    resources") follows the plan's slot.  The loop keeps, per ED, the
+    servers in use (busy), the server count (capacity) and the boarding
+    queues (yellow, red): red patients go before yellow ones, and within a
+    tag the queue is FIFO.  Capacity changes are non-preemptive: when a
+    shift boundary lowers the server count below the number of patients in
+    service, the excess drains as services complete and nobody is dequeued
+    until busy falls below the new capacity.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
-    plan = check_plan(plan, n, scenario.plan_bounds)
+    plan = check_plan(plan, n, scenario.plan_bounds).tolist()
     order = nearest_order(scenario.transfer)
     tau = scenario.transfer.tolist()
     horizon, warmup = spec.horizon, spec.warmup
@@ -119,8 +129,10 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             f"policy thresholds must list one value per ED ({n}), got {len(thresholds)}"
         )
     if thresholds is None or policy.id != "P3":
-        thresholds = [None] * n
-    eds = [EDState(plan[i][0], thresholds[i]) for i in range(n)]
+        thresholds = [math.inf] * n
+    busy = [0] * n
+    capacity = [row[0] for row in plan]
+    queues = [(deque(), deque()) for _ in range(n)]  # indexed by tag: yellow, red
 
     streams = RandomStreams(spec.seed)
     times, payloads, sources = _arrival_timeline(scenario, horizon, streams)
@@ -164,9 +176,14 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
                         tag, origin, ed_idx, t_triage, service_start[i],
                         tau[origin][ed_idx] if moved else 0.0, int(moved), entry_slot[i],
                     ))
-            i = eds[ed_idx].release()
-            if i is None:
+            # the freed server goes to the first boarded red patient, else
+            # yellow, unless a capacity drop left the ED over its server count
+            yellow, red = queues[ed_idx]
+            queue = red or yellow
+            if not queue or busy[ed_idx] > capacity[ed_idx]:
+                busy[ed_idx] -= 1
                 continue
+            i = queue.popleft()
             tag, entered = payloads[i][1], entry_slot[i]
 
         else:
@@ -174,7 +191,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
                 ed_idx, tag = payload
                 created += 1
                 if routing_active:
-                    target = decide_routing(policy, eds, order, tag, ed_idx)
+                    target = decide_routing(policy, busy, capacity, thresholds, order, tag, ed_idx)
                     if target is not None:
                         if target == ed_idx:
                             raise SimulationLogicError(f"ED {ed_idx} redirected to itself")
@@ -192,7 +209,11 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             elif kind == SLOT_BOUNDARY:
                 slot = slot_of(clock)
                 for e in staffed:
-                    for j in eds[e].set_capacity(plan[e][slot]):
+                    capacity[e] = plan[e][slot]
+                    yellow, red = queues[e]
+                    while busy[e] < capacity[e] and (red or yellow):
+                        j = (red or yellow).popleft()
+                        busy[e] += 1
                         service_start[j] = clock
                         k = starts[e]
                         starts[e] = k + 1
@@ -209,18 +230,26 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             # boarding: an arrival that stays, or a completed transfer
             serving[i] = ed_idx
             entry_slot[i] = entered = slot
-            if not eds[ed_idx].admit(i, tag):
+            if busy[ed_idx] < capacity[ed_idx]:
+                busy[ed_idx] += 1
+            else:
+                queues[ed_idx][tag].append(i)
                 continue
 
-        # service starts for patient i at ed_idx
+        # service starts for patient i at ed_idx, on the LOS value kept for
+        # its (distribution, k) if an earlier replication computed it
         service_start[i] = clock
         k = starts[ed_idx]
         starts[ed_idx] = k + 1
-        schedule(clock + los[ed_idx].value(tag, entered, k), SERVICE_COMPLETE, i)
+        row = los[ed_idx].cells[tag][entered][1]
+        los_minutes = row[k] if k < len(row) else math.nan
+        if los_minutes != los_minutes:
+            los_minutes = los[ed_idx].value(tag, entered, k)
+        schedule(clock + los_minutes, SERVICE_COMPLETE, i)
 
     in_system = created - discharged
-    queued = sum(ed.queue_length() for ed in eds)
-    in_service = sum(ed.busy for ed in eds)
+    queued = sum(len(yellow) + len(red) for yellow, red in queues)
+    in_service = sum(busy)
     in_transit = in_system - queued - in_service
     if in_transit < 0:
         raise SimulationLogicError(

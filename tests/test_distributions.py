@@ -256,12 +256,28 @@ def test_los_validation_errors():
         LosDistribution("gamma", {"mean": 30.0, "cv": 0.5, "shape": 4.0})
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats takes longer to import than all of ednetsim's other imports
+def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats takes longer to import than all of ednetsim's other imports,
+    # and scipy.special, which only lognormal and gamma visit times and
+    # confidence intervals need, about 0.3 s
     src = str(Path(ednetsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ednetsim.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+
+    def exit_code(code):
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+    assert exit_code("import sys, ednetsim.cli; sys.exit('scipy.stats' in sys.modules)") == 0
+    # exponential visit times, and calibration reports no confidence interval
+    argv = ["calibrate", "--scenario", str(scenarios / "calibration_demo.yaml"),
+            "--replications", "1", "--bounds", "2", "3", "--out", str(tmp_path)]
+    code = f"import sys; from ednetsim.cli import main; sys.exit(main({argv!r}) or 'scipy.special' in sys.modules)"
+    assert exit_code(code) == 0
+    assert (tmp_path / "calibrated_plan.csv").exists()
+    # lognormal visit times load it as the scenario is parsed
+    lazio = str(scenarios / "lazio_synthetic.yaml")
+    code = f"import sys; from ednetsim import parse_scenario; parse_scenario({lazio!r}); sys.exit('scipy.special' not in sys.modules)"
+    assert exit_code(code) == 0
 
 
 def test_t_critical_values():

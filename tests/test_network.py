@@ -1,4 +1,6 @@
-"""ED state machine and diversion-policy tests."""
+"""Diversion-policy and transfer-matrix tests."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from ednetsim.network import (
     RED,
     YELLOW,
-    EDState,
     PolicySpec,
     decide_routing,
     nearest_order,
@@ -24,74 +25,6 @@ def test_slot_of():
     assert slot_of(1439.9) == 2
     assert slot_of(1440.0) == 0
     assert slot_of(2000.0) == 1
-
-
-def test_admit_starts_service_when_free():
-    ed = EDState(capacity=2)
-    assert ed.admit(0, YELLOW) is True
-    assert ed.busy == 1 and ed.queue_length() == 0
-
-
-def test_admit_queues_when_full():
-    ed = EDState(capacity=1)
-    ed.admit(0, YELLOW)
-    assert ed.admit(1, YELLOW) is False
-    assert ed.busy == 1 and ed.queue_length() == 1
-
-
-def test_release_is_fifo_within_tag():
-    ed = EDState(capacity=1)
-    ed.admit(0, YELLOW)
-    first, second = 1, 2
-    ed.admit(first, YELLOW)
-    ed.admit(second, YELLOW)
-    nxt = ed.release()
-    assert nxt == first
-    assert ed.release() == second
-
-
-def test_red_has_priority_over_earlier_yellow():
-    ed = EDState(capacity=1)
-    ed.admit(0, YELLOW)
-    yellow, red = 1, 2
-    ed.admit(yellow, YELLOW)
-    ed.admit(red, RED)
-    assert ed.release() == red
-    assert ed.release() == yellow
-
-
-def test_release_with_empty_queue_frees_resource():
-    ed = EDState(capacity=2)
-    ed.admit(0, YELLOW)
-    assert ed.release() is None
-    assert ed.busy == 0
-
-
-def test_capacity_drop_is_nonpreemptive():
-    ed = EDState(capacity=3)
-    for p in range(3):
-        ed.admit(p, YELLOW)
-    assert ed.set_capacity(1) == []
-    assert ed.busy == 3  # overloaded until services finish
-    ed.admit(3, YELLOW)
-    assert ed.queue_length() == 1
-    # releases drain the excess before anyone new starts
-    assert ed.release() is None
-    assert ed.release() is None
-    assert ed.busy == 1
-    started = ed.release()
-    assert started is not None and ed.busy == 1
-
-
-def test_capacity_raise_starts_queued_red_first():
-    ed = EDState(capacity=1)
-    ed.admit(0, YELLOW)
-    y1, r1, y2 = 1, 2, 3
-    for p, tag in ((y1, YELLOW), (r1, RED), (y2, YELLOW)):
-        ed.admit(p, tag)
-    started = ed.set_capacity(3)
-    assert started == [r1, y1]
-    assert ed.busy == 3 and ed.queue_length() == 1
 
 
 def test_transfer_matrix_validation():
@@ -113,12 +46,9 @@ def test_nearest_order():
 
 
 def _network(busy, capacity=2, thresholds=None):
-    eds = []
-    for i, b in enumerate(busy):
-        ed = EDState(capacity, None if thresholds is None else thresholds[i])
-        ed.busy = b
-        eds.append(ed)
-    return eds
+    """decide_routing's (busy, capacity, thresholds) for EDs of one capacity."""
+    n = len(busy)
+    return list(busy), [capacity] * n, [math.inf] * n if thresholds is None else list(thresholds)
 
 
 TAU = [[0.0, 10.0, 20.0], [10.0, 0.0, 15.0], [20.0, 15.0, 0.0]]
@@ -127,67 +57,70 @@ ORDER = nearest_order(TAU)
 
 def test_p1_always_boards():
     eds = _network([2, 0, 0])
-    assert decide_routing(PolicySpec("P1"), eds, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P1"), *eds, ORDER, YELLOW, 0) is None
 
 
 def test_p2_redirects_to_nearest_when_full():
     eds = _network([2, 0, 0])
-    assert decide_routing(PolicySpec("P2"), eds, ORDER, YELLOW, 0) == 1
-    assert decide_routing(PolicySpec("P2"), eds, ORDER, RED, 0) == 1
+    assert decide_routing(PolicySpec("P2"), *eds, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P2"), *eds, ORDER, RED, 0) == 1
 
 
 def test_p2_boards_when_not_full_or_nearest_full():
     eds = _network([1, 0, 0])
-    assert decide_routing(PolicySpec("P2"), eds, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P2"), *eds, ORDER, YELLOW, 0) is None
     eds = _network([2, 2, 0])  # nearest full, no cascade: board
-    assert decide_routing(PolicySpec("P2"), eds, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P2"), *eds, ORDER, YELLOW, 0) is None
 
 
 def test_p2_cascade_tries_next_nearest():
     eds = _network([2, 2, 0])
     policy = PolicySpec("P2", cascade=True)
-    assert decide_routing(policy, eds, ORDER, YELLOW, 0) == 2
+    assert decide_routing(policy, *eds, ORDER, YELLOW, 0) == 2
 
 
 def test_p3_never_redirects_red():
     eds = _network([2, 0, 0])
-    assert decide_routing(PolicySpec("P3"), eds, ORDER, RED, 0) is None
-    assert decide_routing(PolicySpec("P3"), eds, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P3"), *eds, ORDER, RED, 0) is None
+    assert decide_routing(PolicySpec("P3"), *eds, ORDER, YELLOW, 0) == 1
 
 
 def test_p3_partial_threshold():
     # origin at busy=1 with threshold 1 is already on diversion
     eds = _network([1, 0, 0], thresholds=[1, 2, 2])
-    assert decide_routing(PolicySpec("P3"), eds, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P3"), *eds, ORDER, YELLOW, 0) == 1
     # destination on its own diversion threshold refuses the transfer
     eds = _network([2, 1, 0], thresholds=[2, 1, 2])
-    assert decide_routing(PolicySpec("P3"), eds, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P3"), *eds, ORDER, YELLOW, 0) is None
 
 
 def test_p3_threshold_clipped_to_capacity():
-    # threshold above capacity behaves like full occupancy
-    ed = EDState(capacity=2, p3_threshold=5)
-    assert ed.diversion_threshold() == 2
+    # a threshold above capacity behaves like full occupancy, at the origin
+    # and at the nearest ED
+    eds = _network([2, 0, 0], thresholds=[5, 5, 5])
+    assert decide_routing(PolicySpec("P3"), *eds, ORDER, YELLOW, 0) == 1
+    eds = _network([2, 2, 0], thresholds=[5, 5, 5])
+    assert decide_routing(PolicySpec("P3"), *eds, ORDER, YELLOW, 0) is None
 
 
 def test_p4_picks_least_busy_network_wide():
     eds = _network([2, 1, 0])
-    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) == 2
+    assert decide_routing(PolicySpec("P4"), *eds, ORDER, YELLOW, 0) == 2
 
 
 def test_p4_boards_when_origin_not_full_or_origin_least_busy():
     eds = _network([1, 2, 2])
-    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P4"), *eds, ORDER, YELLOW, 0) is None
     eds = _network([2, 2, 2])  # origin ties for least busy: board
-    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) is None
+    assert decide_routing(PolicySpec("P4"), *eds, ORDER, YELLOW, 0) is None
 
 
 def test_p4_tie_breaks_by_transfer_time_then_index():
     eds = _network([2, 1, 1])
     # both candidates at busy=1; ED1 is 10 min away, ED2 is 20
-    assert decide_routing(PolicySpec("P4"), eds, ORDER, YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P4"), *eds, ORDER, YELLOW, 0) == 1
     tau_tied = [[0.0, 15.0, 15.0], [15.0, 0.0, 15.0], [15.0, 15.0, 0.0]]
-    assert decide_routing(PolicySpec("P4"), eds, nearest_order(tau_tied), YELLOW, 0) == 1
+    assert decide_routing(PolicySpec("P4"), *eds, nearest_order(tau_tied), YELLOW, 0) == 1
 
 
 @st.composite
@@ -209,7 +142,7 @@ def p4_networks(draw):
 def test_p4_matches_reference_rule(case):
     tau, capacity, busy, origin, tag = case
     eds = _network(busy, capacity)
-    got = decide_routing(PolicySpec("P4"), eds, nearest_order(tau), tag, origin)
+    got = decide_routing(PolicySpec("P4"), *eds, nearest_order(tau), tag, origin)
     # reference: a full origin redirects when another ED is strictly less
     # busy, to the least busy one, then the nearest, then the lowest index
     want = None

@@ -261,6 +261,90 @@ def test_service_starts_are_stamped_by_the_loop():
     assert at_raise and all(at_raise.count(t) <= 2 for t in raises)
 
 
+def one_ed_run(arrivals, capacities):
+    """One day of a single ED under P1 on a hand-made arrival timeline.
+
+    arrivals: (time, tag) pairs sorted by time; capacities: the ED's plan
+    row.  Every visit takes exactly 30 minutes and nothing is warm-up, so
+    each patient's record shows when the queue rules let their service start.
+    """
+    fixed = {"family": "empirical", "values": [30.0]}
+    sc = scenario_from_dict(
+        {
+            "eds": [{"name": "A", "los": {"yellow": fixed, "red": fixed}}],
+            "plan_bounds": [1, 6],
+        }
+    )
+    spec = ReplicationSpec(horizon=1440.0, warmup=0.0, seed=1)
+    payloads = tuple((0, tag) for _, tag in arrivals)
+    times = np.array([t for t, _ in arrivals])
+    sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
+    out = run_replication(sc, np.array([capacities]), "P1", spec, record_patients=True)
+    assert out.created == len(arrivals) == out.discharged
+    return out
+
+
+def starts(out):
+    """(tag, triage time, service start) of each visit, in completion order."""
+    return [(p.tag, p.t_triage, p.t_service_start) for p in out.patients]
+
+
+def test_admit_starts_service_when_free():
+    out = one_ed_run([(10.0, YELLOW), (20.0, RED)], [2, 2, 2])
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (RED, 20.0, 20.0)]
+
+
+def test_admit_queues_when_full():
+    # the second patient boards until the first visit ends at 40
+    out = one_ed_run([(10.0, YELLOW), (20.0, YELLOW)], [1, 1, 1])
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (YELLOW, 20.0, 40.0)]
+
+
+def test_release_is_fifo_within_tag():
+    out = one_ed_run([(10.0, YELLOW), (15.0, YELLOW), (20.0, YELLOW)], [1, 1, 1])
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (YELLOW, 15.0, 40.0), (YELLOW, 20.0, 70.0)]
+
+
+def test_red_has_priority_over_earlier_yellow():
+    out = one_ed_run([(10.0, YELLOW), (15.0, YELLOW), (20.0, RED)], [1, 1, 1])
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (RED, 20.0, 40.0), (YELLOW, 15.0, 70.0)]
+
+
+def test_release_with_empty_queue_frees_resource():
+    # the only server is free again once the first visit ends at 40
+    out = one_ed_run([(10.0, YELLOW), (50.0, YELLOW), (60.0, RED)], [1, 1, 1])
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (YELLOW, 50.0, 50.0), (RED, 60.0, 80.0)]
+
+
+def test_capacity_drop_is_nonpreemptive():
+    # three visits run across the drop from 3 servers to 1 at minute 480;
+    # the ED stays overloaded until they end, and the patient boarded at 475
+    # starts only when busy falls to the new capacity, at the third release
+    out = one_ed_run(
+        [(460.0, YELLOW), (465.0, YELLOW), (470.0, YELLOW), (475.0, YELLOW), (485.0, YELLOW)],
+        [3, 1, 1],
+    )
+    assert starts(out) == [
+        (YELLOW, 460.0, 460.0),
+        (YELLOW, 465.0, 465.0),
+        (YELLOW, 470.0, 470.0),
+        (YELLOW, 475.0, 500.0),
+        (YELLOW, 485.0, 530.0),
+    ]
+
+
+def test_capacity_raise_starts_queued_red_first():
+    # at 480 two more servers take the boarded red patient, then the first
+    # yellow; the second yellow waits for the visit that ends at 490
+    out = one_ed_run([(460.0, YELLOW), (465.0, YELLOW), (470.0, RED), (475.0, YELLOW)], [1, 3, 1])
+    assert starts(out) == [
+        (YELLOW, 460.0, 460.0),
+        (RED, 470.0, 480.0),
+        (YELLOW, 465.0, 480.0),
+        (YELLOW, 475.0, 490.0),
+    ]
+
+
 def test_self_redirect_is_a_logic_error():
     sc = asymmetric_pair_scenario()
     plan = np.array([[1, 1, 1], [4, 4, 4]])
