@@ -2,12 +2,16 @@
 
 Each ED is calibrated alone (no diversion can move patients before the
 network is coupled), on its own random streams, exactly as P1 runs it:
-an exhaustive search over the capacity triples (slot1, slot2, slot3)
-picks the one whose simulated mean waits, averaged over replications,
-are closest in L1 distance to the supplied real waits.  Ties favour
-fewer total resources, then lexicographic order.
+the capacity triple (slot1, slot2, slot3) whose simulated mean waits,
+averaged over replications, are closest in L1 distance to the supplied
+real waits wins.  Ties favour fewer total resources, then lexicographic
+order.  A triple stops replicating once its partial waits prove that its
+error exceeds the best found so far (see simulated_waits), so it could
+not win and the result is the exhaustive search's.  That proof needs
+every simulated wait cell to be >= 0, which censored waits must keep.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -29,24 +33,39 @@ def l1_error(sim, real):
     return float(np.abs(sim - real).sum())
 
 
-def simulated_waits(scenario, capacities, replications, ed):
+def simulated_waits(scenario, capacities, replications, ed, bound=None):
     """Replication-averaged 3x2 (slot, tag) mean waits of one ED working alone.
 
     Every row of the plan is the capacity triple, but under P1 only row `ed`
     is staffed; the runs are the ones P1 evaluations of that row share.
+
+    bound: optional (real, best).  The replications are then added one at a
+    time, and the call returns None as soon as their partial sum S_k proves
+    that the L1 error to `real` exceeds best.  Every wait cell is >= 0, so
+    sum over cells of max(0, S_k / R - real) is at most the final error;
+    it takes the same sums, division and 3x2 reduction as the error, and
+    rounding is monotone, so it stays at most the error in floating point.
     """
+    if replications < 1:
+        raise ValueError(f"need at least one replication, got {replications}")
     plan = np.tile(capacities, (scenario.n_eds, 1))
-    _, waits = replicate_alone(scenario, plan, PolicySpec("P1"), replications, ed)
-    return sum(waits, np.zeros((SLOTS_PER_DAY, 2))) / replications
+    total = np.zeros((SLOTS_PER_DAY, 2))
+    for k in range(1, replications + 1):
+        total = total + replicate_alone(scenario, plan, PolicySpec("P1"), k, ed)[1][-1]
+        if bound is not None and np.maximum(total / replications - bound[0], 0.0).sum() > bound[1]:
+            return None
+    return total / replications
 
 
 def calibrate_ed(scenario, ed, real, replications):
-    """Fit one ED's slot capacities to its real waits, trying every triple in plan_bounds.
+    """Fit one ED's slot capacities to its real waits over the triples in plan_bounds.
 
     ed: the ED's index in the scenario; it is simulated alone (see
         simulated_waits).
     real: 3x2 (slot, tag) observed mean waits in minutes.
-    Returns (capacities, error): the best triple and its L1 error.
+    Returns (capacities, error): the best triple and its L1 error.  Triples
+    run from the most resources down, in reverse product order, since a low
+    error found early stops more of the rest sooner.
     """
     real = np.asarray(real, dtype=float)
     if real.shape != (SLOTS_PER_DAY, 2):
@@ -54,10 +73,12 @@ def calibrate_ed(scenario, ed, real, replications):
     if (real < 0).any():
         raise ValueError("real waits must be non-negative")
     lo, hi = scenario.plan_bounds
-    err, _, triple = min(
-        (l1_error(simulated_waits(scenario, t, replications, ed), real), sum(t), t)
-        for t in product(range(lo, hi + 1), repeat=SLOTS_PER_DAY)
-    )
+    best = math.inf, 0, None
+    for t in product(range(hi, lo - 1, -1), repeat=SLOTS_PER_DAY):
+        waits = simulated_waits(scenario, t, replications, ed, (real, best[0]))
+        if waits is not None:
+            best = min(best, (l1_error(waits, real), sum(t), t))
+    err, _, triple = best
     return triple, err
 
 

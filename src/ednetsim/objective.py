@@ -88,8 +88,8 @@ def saa_evaluate(scenario, plan, policy, replications):
 
     Under P1 every ED works alone, so its estimate depends on its own plan
     row alone: each ED is run on its own by replicate_alone, which keeps the
-    runs of each (ED, row, replication count) and does not simulate them
-    again.
+    runs of each (ED, row) and simulates only the replications it does not
+    hold yet, for any count.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds

@@ -142,7 +142,9 @@ class Scenario:
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
     # simulate's arrival timelines by (horizon, seed), read-only, its
     # LosStore by (seed, ED), and replicate_alone's runs by ED (the ED's solo
-    # copy, and its per-replication results by (plan row, replications)).
+    # copy, and by plan row its per-replication results, replication k at
+    # index k, which a call for more replications extends).  Calibration's
+    # stopping bound needs every kept wait cell >= 0, censored waits included.
     # Every copy starts with empty caches, except that a solo copy shares its
     # parent's los_values: it would make the same stores
     timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)

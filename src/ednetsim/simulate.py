@@ -314,35 +314,37 @@ def _los_store(scenario, streams, ed):
     return store
 
 
-def replicate(scenario, plan, policy, replications):
-    """The outputs of `replications` runs of one plan, in order, as an iterator.
+def replicate(scenario, plan, policy, replications, first=0):
+    """The outputs of runs first, ..., replications - 1 of one plan, in order, as an iterator.
 
-    The runs take the seeds following scenario.replication.seed, one each,
-    so every plan evaluated on the same scenario shares its random streams
-    (common random numbers).  This is the only place that maps a base seed
-    to replication seeds.  Fewer than one replication raises ValueError at the call.
+    Run k takes the seed scenario.replication.seed + k + 1, whatever the
+    count, so every plan evaluated on the same scenario shares its random
+    streams (common random numbers) and a longer run extends a shorter one.
+    This is the only place that maps a base seed to replication seeds.
+    Fewer than one replication raises ValueError at the call.
     """
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     base = scenario.replication
     return (
         run_replication(scenario, plan, policy, replace(base, seed=base.seed + k + 1))
-        for k in range(replications)
+        for k in range(first, replications)
     )
 
 
 def replicate_alone(scenario, plan, policy, replications, ed):
-    """One ED's per-replication results when it works alone (P1): (means, waits).
+    """One ED's first `replications` results when it works alone (P1): (means, waits).
 
-    means (replications, 2) is the ED's pooled mean NVA by tag, waits
-    (replications, 3, 2) its mean waits by (slot, tag).  The ED runs on its
-    solo copy of the scenario, which holds that ED's arrivals alone, so only
-    plan[ed] is staffed.  Streams stay keyed by the ED's own index, so the
-    runs are bit-identical to that ED's share of a whole-network P1 run.  The
-    copy shares the scenario's LOS values, which depend on the seed and the
-    ED alone, and keeps its own arrival timelines for every row of the ED.
-    The results of each (plan row, replication count) are kept on
-    scenario.solo_runs and not simulated again.
+    means lists the ED's pooled mean NVA by tag, (yellow, red), per
+    replication, and waits its 3x2 mean waits by (slot, tag).  The ED runs
+    on its solo copy of the scenario, which holds that ED's arrivals alone,
+    so only plan[ed] is staffed.  Streams stay keyed by the ED's own index,
+    so the runs are bit-identical to that ED's share of a whole-network P1
+    run.  The copy shares the scenario's LOS values, which depend on the
+    seed and the ED alone, and keeps its own arrival timelines for every
+    row of the ED.  Replication k runs on the same seed whatever the count,
+    so scenario.solo_runs keeps one growing list of results per plan row: a
+    call simulates only the replications that list does not hold yet.
     """
     if not 0 <= ed < scenario.n_eds:
         raise ValueError(f"ED index {ed} out of range [0, {scenario.n_eds})")
@@ -354,14 +356,9 @@ def replicate_alone(scenario, plan, policy, replications, ed):
         solo.los_values = scenario.los_values
         scenario.solo_runs[ed] = solo, {}
     solo, runs = scenario.solo_runs[ed]
-    key = tuple(plan[ed].tolist()), replications
-    if key not in runs:
-        # replicate rejects a bad replication count before it sizes the arrays
-        outputs = replicate(solo, plan, policy, replications)
-        means = np.empty((replications, 2))
-        waits = np.empty((replications, SLOTS_PER_DAY, 2))
-        for k, out in enumerate(outputs):
-            means[k] = out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED)
-            waits[k] = out.slot_tag_waits(ed)
-        runs[key] = means, waits
-    return runs[key]
+    means, waits = runs.setdefault(tuple(plan[ed].tolist()), ([], []))
+    # replicate rejects a bad replication count before anything runs
+    for out in replicate(solo, plan, policy, replications, first=len(means)):
+        means.append((out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED)))
+        waits.append(out.slot_tag_waits(ed))
+    return means[:replications], waits[:replications]

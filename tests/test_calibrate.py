@@ -1,9 +1,12 @@
-"""Calibration tests: L1 fit, exhaustive grid, self-recovery."""
+"""Calibration tests: L1 fit, exhaustive grid, self-recovery, exact stopping."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ednetsim import ReplicationSpec, calibrate_ed, calibrate_network, l1_error, saa_evaluate
 from ednetsim.calibrate import simulated_waits
@@ -62,28 +65,26 @@ def test_zero_waits_drive_capacities_to_maximum():
     assert err > 0.0
 
 
-def test_grid_matches_independent_enumeration():
-    from itertools import product
+def _full_enumeration(sc, real, replications):
+    """(triple, error) of the exhaustive search on unstopped, freshly simulated waits."""
+    sc = replace(sc)  # keeps no runs
+    lo, hi = sc.plan_bounds
+    err, _, triple = min(
+        (l1_error(simulated_waits(sc, t, replications, 0), real), sum(t), t)
+        for t in product(range(lo, hi + 1), repeat=3)
+    )
+    return triple, err
 
+
+def test_grid_matches_independent_enumeration():
     sc = _loaded_single_ed()
     base = ReplicationSpec(horizon=8 * 1440.0, warmup=480.0, seed=11)
-    sc = with_replication(sc, base)
+    sc = replace(with_replication(sc, base), plan_bounds=(2, 4))
     real = np.full((3, 2), 12.0)
-    caps, err = calibrate_ed(replace(sc, plan_bounds=(2, 4)), 0, real, replications=2)
-
-    best = None
-    for triple in product(range(2, 5), repeat=3):
-        waits = simulated_waits(sc, triple, replications=2, ed=0)
-        key = (l1_error(waits, real), sum(triple), triple)
-        if best is None or key < best:
-            best = key
-    assert caps == best[2]
-    assert err == pytest.approx(best[0])
+    assert calibrate_ed(sc, 0, real, replications=2) == _full_enumeration(sc, real, 2)
 
 
 def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
-    from itertools import product
-
     from ednetsim import calibrate
 
     sc = single_ed_scenario(rates_yellow=(0.05, 0.05, 0.05), los_mean=30.0, plan_bounds=(2, 3))
@@ -91,14 +92,78 @@ def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
     searched = []
     original = calibrate.simulated_waits
 
-    def recording(scenario, capacities, replications, ed):
+    def recording(scenario, capacities, replications, ed, bound=None):
         searched.append(tuple(capacities))
-        return original(scenario, capacities, replications, ed)
+        return original(scenario, capacities, replications, ed, bound)
 
     monkeypatch.setattr(calibrate, "simulated_waits", recording)
     caps, _ = calibrate_ed(sc, 0, np.zeros((3, 2)), replications=1)
     assert sorted(searched) == list(product((2, 3), repeat=3))
     assert caps == (3, 3, 3)
+
+
+def _counting_replications(monkeypatch):
+    from ednetsim import simulate
+
+    ran = []
+    original = simulate.run_replication
+
+    def counting(scenario, plan, policy, spec, **kwargs):
+        ran.append((tuple(plan[0].tolist()), spec.seed))
+        return original(scenario, plan, policy, spec, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_replication", counting)
+    return ran
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    source=st.tuples(*[st.integers(2, 4)] * 3),
+    noise=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+)
+def test_stopped_search_matches_full_enumeration(seed, source, noise):
+    # real waits near those of a random triple, or far from all of them where
+    # the noise is large: either way the stopped search picks what the
+    # exhaustive one picks, to the last bit of the error
+    sc = single_ed_scenario(
+        rates_yellow=(0.06, 0.09, 0.06), rates_red=(0.01, 0.02, 0.01), plan_bounds=(2, 4)
+    )
+    sc = with_replication(sc, ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=seed))
+    real = simulated_waits(replace(sc), source, 2, 0) + np.reshape(noise, (3, 2))
+    real = np.maximum(real, 0.0)
+    assert calibrate_ed(sc, 0, real, 2) == _full_enumeration(sc, real, 2)
+
+
+def test_stopping_runs_fewer_replications_than_the_grid(monkeypatch):
+    sc = with_replication(
+        _loaded_single_ed(), ReplicationSpec(horizon=6 * 1440.0, warmup=480.0, seed=77)
+    )
+    real = simulated_waits(replace(sc), (4, 5, 3), 2, 0)
+    ran = _counting_replications(monkeypatch)
+    caps, err = calibrate_ed(replace(sc, plan_bounds=(2, 5)), 0, real, replications=2)
+    assert (caps, err) == ((4, 5, 3), 0.0)
+    assert len(ran) < 4**3 * 2
+    # no replication of a triple ran twice, and the winner ran all of them
+    assert len(set(ran)) == len(ran)
+    assert {((4, 5, 3), 78), ((4, 5, 3), 79)} <= set(ran)
+
+
+def test_a_tie_on_error_goes_to_fewer_resources():
+    # at this light load slots 1 and 3 never need a third server, so (2, 2, 2),
+    # (2, 2, 3), (3, 2, 2) and (3, 2, 3) wait alike; as do (1, 2, 2) and
+    # (1, 2, 3).  The search meets each tie's larger triple first.
+    sc = single_ed_scenario(rates_yellow=(0.003,) * 3, rates_red=(0.002,) * 3, plan_bounds=(1, 3))
+    sc = with_replication(sc, ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=5))
+    waits = simulated_waits(replace(sc), (2, 2, 2), 2, 0)
+    assert waits.max() > 0.0
+    ties = {0.0: [(3, 2, 3), (3, 2, 2), (2, 2, 3), (2, 2, 2)], 0.5: [(1, 2, 3), (1, 2, 2)]}
+    for offset, tied in ties.items():
+        real = waits + offset
+        errors = {l1_error(simulated_waits(replace(sc), t, 2, 0), real) for t in tied}
+        assert len(errors) == 1
+        expected = tied[-1], errors.pop()
+        assert calibrate_ed(replace(sc), 0, real, 2) == expected == _full_enumeration(sc, real, 2)
 
 
 def test_calibrate_network_recovers_every_ed():
@@ -124,7 +189,8 @@ def test_calibrate_network_requires_real_waits():
         calibrate_network(sc, replications=1)
 
 
-def test_calibrate_ed_input_validation():
+def test_calibrate_ed_input_validation(monkeypatch):
+    ran = _counting_replications(monkeypatch)
     sc = network_scenario(n=2)
     for ed in (-1, 2):
         with pytest.raises(ValueError, match=rf"ED index {ed} out of range \[0, 2\)"):
@@ -137,6 +203,11 @@ def test_calibrate_ed_input_validation():
     for replications in (0, -1):
         with pytest.raises(ValueError, match="at least one replication"):
             calibrate_ed(single, 0, np.zeros((3, 2)), replications=replications)
+        with pytest.raises(ValueError, match="at least one replication"):
+            simulated_waits(single, (2, 2, 2), replications, 0, (np.zeros((3, 2)), 1.0))
+    # every bad input fails before anything is simulated
+    assert ran == []
+    assert single.solo_runs == {}
 
 
 def test_simulated_waits_rejects_an_ed_outside_the_network():

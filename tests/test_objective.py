@@ -260,16 +260,19 @@ def test_coupled_policies_simulate_every_evaluation():
     assert len(outputs) == 3 * 2
 
 
-def test_p1_runs_at_another_replication_count_are_simulated_afresh():
+def test_p1_runs_at_another_replication_count_extend_the_kept_prefix():
+    # replication k runs on the same seed whatever the count, so fewer
+    # replications read a prefix of the kept runs and more extend it
     sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
     plan = np.full((3, 3), 2)
     saa_evaluate(sc, plan, "P1", replications=3)
-    outputs, patch = counting_replications()
-    with patch:
-        summary = saa_evaluate(sc, plan, "P1", replications=2)
-    assert len(outputs) == 3 * 2
-    assert summary.replications == 2
-    assert_matches_whole_network(summary, sc, whole_network_runs(sc, plan, 2))
+    for replications, simulated in ((2, 0), (4, 3)):  # R=4: one new run per ED
+        outputs, patch = counting_replications()
+        with patch:
+            summary = saa_evaluate(sc, plan, "P1", replications=replications)
+        assert len(outputs) == simulated
+        assert summary.replications == replications
+        assert_matches_whole_network(summary, sc, whole_network_runs(sc, plan, replications))
 
 
 def test_p1_runs_are_shared_by_every_evaluation_of_a_scenario():
