@@ -98,7 +98,7 @@ def cmd_simulate(scenario, replications, out_dir):
     )
     for i, name in enumerate(scenario.ed_names):
         for tag, tag_name in enumerate(TAG_NAMES):
-            print(f"{name} {tag_name}: {fmt_minutes(summary.nva_ci(i, tag).mean)} min")
+            print(f"{name} {tag_name}: {fmt_minutes(summary.mean_nva[i, tag])} min")
 
 
 def cmd_calibrate(scenario, replications, out_dir):

@@ -67,11 +67,6 @@ class Patient(NamedTuple):
     redirects: int
     entry_slot: int
 
-    @property
-    def nva_minutes(self):
-        """Waiting plus transfer time between triage and start of visit."""
-        return self.t_service_start - self.t_triage
-
 
 def validate_transfer_matrix(tau):
     """Ambulance transport times: square, zero diagonal, positive elsewhere."""

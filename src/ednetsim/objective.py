@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, MeanCI, summarize
+from .distributions import SLOT_MINUTES, SLOTS_PER_DAY, summarize
 from .network import RED, YELLOW, PolicySpec
 from .simulate import check_plan, replicate, replicate_alone
 
@@ -70,13 +70,6 @@ class SimSummary:
     @property
     def total_violation(self):
         return float(self.violations.sum())
-
-    def nva_ci(self, ed, tag):
-        return MeanCI(
-            mean=float(self.mean_nva[ed, tag]),
-            half_width=float(self.half_width[ed, tag]),
-            n=self.replications,
-        )
 
 
 def saa_evaluate(scenario, plan, policy, replications):

@@ -28,9 +28,9 @@ def write_nva_csv(path, ed_names, summary):
         writer.writerow(["ed", "tag", "mean_nva", "half_width_95"])
         for i, name in enumerate(ed_names):
             for tag, tag_name in enumerate(TAG_NAMES):
-                ci = summary.nva_ci(i, tag)
-                hw = "" if ci.half_width != ci.half_width else fmt_minutes(ci.half_width)
-                writer.writerow([name, tag_name, fmt_minutes(ci.mean), hw])
+                hw = summary.half_width[i, tag]  # NaN when R < 2
+                hw = "" if hw != hw else fmt_minutes(hw)
+                writer.writerow([name, tag_name, fmt_minutes(summary.mean_nva[i, tag]), hw])
 
 
 def write_diversions_csv(path, ed_names, summary):

@@ -143,8 +143,10 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     los = {i: _los_store(scenario, streams, i) for i in staffed}
     starts = [0] * n  # service starts so far, per ED
 
-    calendar = EventCalendar(times, payloads)
-    pop, schedule = calendar.pop, calendar.schedule
+    if not (np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) >= 0.0)):
+        raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
+    calendar = EventCalendar()
+    heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
     schedule(horizon, END_OF_HORIZON)
     boundary = SLOT_MINUTES
     while boundary < horizon:
@@ -157,10 +159,19 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     records = [] if record_patients else None
     triage = times.tolist()
     serving, service_start, entry_slot = [0] * len(triage), [0.0] * len(triage), [0] * len(triage)
+    triage.append(math.inf)  # ends the timeline; the horizon event comes first
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
+    # Arrivals never enter the heap: patient `created` is the next one, and a
+    # heap event at or before its time goes first, so heap events win ties.
+    # The heap holds END_OF_HORIZON until the loop ends, so it is never empty.
     while True:
-        clock, i, kind, payload = pop()
+        if heap[0][0] <= triage[created]:
+            clock, i, kind, payload = pop()
+        else:
+            i = created
+            clock = calendar.clock = triage[i]
+            kind, payload = ARRIVAL, payloads[i]
 
         if kind == SERVICE_COMPLETE:
             i = payload

@@ -271,7 +271,7 @@ def test_diversion_policy_invariants():
             for p in redirected:
                 assert p.serving != p.origin
                 assert p.transfer_minutes == tau[p.origin][p.serving]
-                assert p.nva_minutes >= p.transfer_minutes - 1e-9
+                assert p.t_service_start - p.t_triage >= p.transfer_minutes - 1e-9
                 if policy.id == "P3":
                     assert p.tag == YELLOW
 

@@ -101,7 +101,7 @@ def test_saa_half_width_matches_summarize():
     ci = summarize(s.rep_means[:, 0, YELLOW])
     assert s.mean_nva[0, YELLOW] == pytest.approx(ci.mean)
     assert s.half_width[0, YELLOW] == pytest.approx(ci.half_width)
-    assert s.nva_ci(0, YELLOW).n == 5
+    assert s.replications == len(s.rep_means) == 5
 
 
 def test_saa_empty_tag_counts_as_zero():

@@ -20,10 +20,11 @@ from ednetsim import (
     saa_evaluate,
     scenario_from_dict,
 )
+from ednetsim import simulate
 from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import _with_flags
 from ednetsim.distributions import ArrivalProcess, LosDistribution
-from ednetsim.engine import EventCalendar, SimulationLogicError
+from ednetsim.engine import SERVICE_COMPLETE, EventCalendar, SimulationLogicError
 from ednetsim.network import RED, YELLOW, PolicySpec
 
 from util import (
@@ -225,7 +226,8 @@ def test_nearest_ed_policies_property(case):
             assert policy.id == "P2" or p.tag == YELLOW
             assert p.serving != p.origin
             assert p.transfer_minutes == sc.transfer[p.origin][p.serving]
-            assert p.nva_minutes >= p.transfer_minutes - 1e-9  # (t + tau) - t rounds
+            # (t + tau) - t rounds
+            assert p.t_service_start - p.t_triage >= p.transfer_minutes - 1e-9
         else:
             assert p.serving == p.origin and p.transfer_minutes == 0.0
 
@@ -261,12 +263,11 @@ def test_service_starts_are_stamped_by_the_loop():
     assert at_raise and all(at_raise.count(t) <= 2 for t in raises)
 
 
-def one_ed_run(arrivals, capacities):
-    """One day of a single ED under P1 on a hand-made arrival timeline.
+def planted_ed(arrivals):
+    """(scenario, spec) of one day of a single ED, its arrival timeline planted.
 
-    arrivals: (time, tag) pairs sorted by time; capacities: the ED's plan
-    row.  Every visit takes exactly 30 minutes and nothing is warm-up, so
-    each patient's record shows when the queue rules let their service start.
+    arrivals: (time, tag) pairs, kept in the given order.  Every visit takes
+    exactly 30 minutes and nothing is warm-up.
     """
     fixed = {"family": "empirical", "values": [30.0]}
     sc = scenario_from_dict(
@@ -277,8 +278,19 @@ def one_ed_run(arrivals, capacities):
     )
     spec = ReplicationSpec(horizon=1440.0, warmup=0.0, seed=1)
     payloads = tuple((0, tag) for _, tag in arrivals)
-    times = np.array([t for t, _ in arrivals])
+    times = np.array([t for t, _ in arrivals], dtype=float)
     sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
+    return sc, spec
+
+
+def one_ed_run(arrivals, capacities):
+    """One day of a single ED under P1 on a hand-made arrival timeline.
+
+    arrivals: (time, tag) pairs sorted by time; capacities: the ED's plan
+    row.  Each patient's record shows when the queue rules let their
+    service start.
+    """
+    sc, spec = planted_ed(arrivals)
     out = run_replication(sc, np.array([capacities]), "P1", spec, record_patients=True)
     assert out.created == len(arrivals) == out.discharged
     return out
@@ -343,6 +355,89 @@ def test_capacity_raise_starts_queued_red_first():
         (YELLOW, 465.0, 480.0),
         (YELLOW, 475.0, 490.0),
     ]
+
+
+def test_arrivals_interleave_with_heap_events():
+    # arrivals, completions (at 40 and 75) and the boundary at 480 run in
+    # time order, and arrivals go on after the last completion of the day
+    out = one_ed_run([(10.0, YELLOW), (45.0, RED), (600.0, YELLOW), (1000.0, RED)], [1, 1, 1])
+    assert starts(out) == [
+        (YELLOW, 10.0, 10.0), (RED, 45.0, 45.0), (YELLOW, 600.0, 600.0), (RED, 1000.0, 1000.0),
+    ]
+    assert [p.entry_slot for p in out.patients] == [0, 0, 1, 2]
+
+
+def test_arrival_at_a_slot_boundary_enters_the_new_slot():
+    # the boundary at 480 goes before the arrival at the same minute, so the
+    # patient enters slot 1 and takes one of its two servers at once
+    out = one_ed_run([(470.0, YELLOW), (480.0, YELLOW)], [1, 2, 1])
+    assert starts(out) == [(YELLOW, 470.0, 470.0), (YELLOW, 480.0, 480.0)]
+    assert [p.entry_slot for p in out.patients] == [0, 1]
+
+
+def test_completion_at_an_arrival_minute_serves_the_queue_first():
+    # the visit that ends at 40 hands its server to the boarded yellow
+    # patient before the red arrival at 40 boards; had the arrival gone
+    # first, red priority would have given it the server
+    out = one_ed_run([(10.0, YELLOW), (20.0, YELLOW), (40.0, RED)], [1, 1, 1])
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (YELLOW, 20.0, 40.0), (RED, 40.0, 70.0)]
+
+
+def test_arrival_advances_the_calendar_clock():
+    # every visit is scheduled 30 minutes after the clock: an arrival that
+    # starts service at once has moved the clock to its own time
+    seen = []
+    original = EventCalendar.schedule
+
+    def schedule(cal, time, kind, payload=None):
+        if kind == SERVICE_COMPLETE:
+            seen.append((cal.clock, time))
+        return original(cal, time, kind, payload)
+
+    with mock.patch.object(EventCalendar, "schedule", schedule):
+        one_ed_run([(10.0, YELLOW), (15.0, RED), (100.0, YELLOW)], [1, 1, 1])
+    assert seen == [(10.0, 40.0), (40.0, 70.0), (100.0, 130.0)]
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[2.0, 1.0], [-1.0, 1.0], [1.0, math.inf], [math.nan, 1.0]],
+    ids=["unsorted", "negative", "infinite", "nan"],
+)
+def test_run_replication_rejects_bad_timeline(times):
+    sc, spec = planted_ed([(t, YELLOW) for t in times])
+    with pytest.raises(SimulationLogicError, match="sorted"):
+        run_replication(sc, np.array([[1, 1, 1]]), "P1", spec)
+
+
+@st.composite
+def planted_days(draw):
+    """Arrivals on multiples of 10 minutes around both boundaries of the day.
+
+    Visits take 30 minutes, so arrivals often tie with boundaries and with
+    completions; at most 12 patients all finish before the horizon.
+    """
+    times = sorted(draw(st.lists(st.sampled_from(range(440, 1001, 10)), max_size=12)))
+    tags = draw(st.lists(st.sampled_from([YELLOW, RED]), min_size=len(times), max_size=len(times)))
+    capacities = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    return [(float(t), tag) for t, tag in zip(times, tags)], capacities
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(planted_days())
+def test_planted_timelines_keep_the_event_order(case):
+    # each patient enters the slot of their arrival minute, a boundary
+    # included, and every wait ends at a completion or at a capacity raise
+    arrivals, capacities = case
+    out = one_ed_run(arrivals, capacities)
+    completions = {p.t_service_start + 30.0 for p in out.patients}
+    raises = {480.0 * s for s in (1, 2) if capacities[s] > capacities[s - 1]}
+    assert sorted((p.t_triage, p.tag) for p in out.patients) == sorted(arrivals)
+    for p in out.patients:
+        assert p.entry_slot == int(p.t_triage // 480.0)
+        assert p.t_service_start >= p.t_triage
+        if p.t_service_start > p.t_triage:
+            assert p.t_service_start in completions | raises
 
 
 def test_self_redirect_is_a_logic_error():
@@ -712,11 +807,26 @@ def counting_calls(owner, name):
     return calls, mock.patch.object(owner, name, counted)
 
 
-# Calendar pops and schedules and LOS values computed by one small
-# saa_evaluate; a loop that skips or adds event work moves them.
+def counting_arrivals():
+    """Patches run_replication to sum the arrivals of its runs; returns (counter, patch)."""
+    arrivals = [0]
+    original = simulate.run_replication
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        arrivals[0] += out.created
+        return out
+
+    return arrivals, mock.patch.object(simulate, "run_replication", counted)
+
+
+# Heap pops and schedules, LOS values computed and arrivals of one small
+# saa_evaluate; a loop that skips or adds event work moves them.  Arrivals
+# bypass the heap, so heap pops plus arrivals are every event of the loop:
+# 6,267 under P1 and 6,195 under P4.
 PINNED_EVENT_WORK = {
-    "P1": (6267, 1283, 1148),
-    "P4": (6195, 1211, 1147),
+    "P1": (1274, 1283, 1148, 4993),
+    "P4": (1202, 1211, 1147, 4993),
 }
 
 
@@ -726,6 +836,9 @@ def test_event_work_pinned(policy):
     pops, pop_patch = counting_calls(EventCalendar, "pop")
     schedules, schedule_patch = counting_calls(EventCalendar, "schedule")
     samples, sample_patch = counting_calls(LosDistribution, "sample")
-    with pop_patch, schedule_patch, sample_patch:
+    arrivals, arrival_patch = counting_arrivals()
+    with pop_patch, schedule_patch, sample_patch, arrival_patch:
         saa_evaluate(sc, plan_for(sc, 1), policy, replications=3)
-    assert (pops[0], schedules[0], samples[0]) == PINNED_EVENT_WORK[policy]
+    got = (pops[0], schedules[0], samples[0], arrivals[0])
+    assert got == PINNED_EVENT_WORK[policy]
+    assert pops[0] + arrivals[0] == {"P1": 6267, "P4": 6195}[policy]
