@@ -1,6 +1,8 @@
 """Event calendar, replication spec, and random-stream tests.
 
-The loop's merge of the arrival timeline is tested in test_simulate.py.
+The calendar holds scheduled events only; run_replication merges the
+arrival timeline into it, so the merge is tested through the loop on
+planted timelines, here and in test_simulate.py.
 """
 
 import numpy as np
@@ -13,6 +15,9 @@ from ednetsim.engine import (
     ReplicationSpec,
     SimulationLogicError,
 )
+from ednetsim.network import RED, YELLOW
+
+from util import one_ed_run, starts
 
 
 def test_calendar_orders_by_time():
@@ -60,6 +65,26 @@ def test_calendar_empties_after_every_event():
     assert [cal.pop()[3] for _ in range(2)] == ["x", "y"]
     with pytest.raises(IndexError):
         cal.pop()
+
+
+def test_calendar_interleaves_arrivals_and_scheduled_events():
+    # arrivals, completions (at 40 and 75) and the boundary at 480 run in
+    # time order, and arrivals go on after the last completion of the day
+    out = one_ed_run([(10.0, YELLOW), (45.0, RED), (600.0, YELLOW), (1000.0, RED)], [1, 1, 1])
+    assert starts(out) == [
+        (YELLOW, 10.0, 10.0), (RED, 45.0, 45.0), (YELLOW, 600.0, 600.0), (RED, 1000.0, 1000.0),
+    ]
+    assert [p.entry_slot for p in out.patients] == [0, 0, 1, 2]
+
+
+def test_calendar_arrivals_pop_after_heap_empties():
+    # after the completion at 40 and the last boundary at 960 the heap holds
+    # only the end of the horizon; the arrivals left on the timeline still
+    # run, each on a free server, and all of them end before the horizon
+    arrivals = [(10.0, YELLOW), (1000.0, RED), (1100.0, YELLOW), (1200.0, YELLOW)]
+    out = one_ed_run(arrivals, [1, 1, 1])
+    assert starts(out) == [(tag, t, t) for t, tag in arrivals]
+    assert [p.entry_slot for p in out.patients] == [0, 2, 2, 2]
 
 
 def test_replication_spec_validates_warmup():

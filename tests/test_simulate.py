@@ -31,8 +31,11 @@ from util import (
     asymmetric_pair_scenario,
     exp_los,
     network_scenario,
+    one_ed_run,
     plan_for,
+    planted_ed,
     single_ed_scenario,
+    starts,
     with_replication,
 )
 
@@ -263,44 +266,6 @@ def test_service_starts_are_stamped_by_the_loop():
     assert at_raise and all(at_raise.count(t) <= 2 for t in raises)
 
 
-def planted_ed(arrivals):
-    """(scenario, spec) of one day of a single ED, its arrival timeline planted.
-
-    arrivals: (time, tag) pairs, kept in the given order.  Every visit takes
-    exactly 30 minutes and nothing is warm-up.
-    """
-    fixed = {"family": "empirical", "values": [30.0]}
-    sc = scenario_from_dict(
-        {
-            "eds": [{"name": "A", "los": {"yellow": fixed, "red": fixed}}],
-            "plan_bounds": [1, 6],
-        }
-    )
-    spec = ReplicationSpec(horizon=1440.0, warmup=0.0, seed=1)
-    payloads = tuple((0, tag) for _, tag in arrivals)
-    times = np.array([t for t, _ in arrivals], dtype=float)
-    sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
-    return sc, spec
-
-
-def one_ed_run(arrivals, capacities):
-    """One day of a single ED under P1 on a hand-made arrival timeline.
-
-    arrivals: (time, tag) pairs sorted by time; capacities: the ED's plan
-    row.  Each patient's record shows when the queue rules let their
-    service start.
-    """
-    sc, spec = planted_ed(arrivals)
-    out = run_replication(sc, np.array([capacities]), "P1", spec, record_patients=True)
-    assert out.created == len(arrivals) == out.discharged
-    return out
-
-
-def starts(out):
-    """(tag, triage time, service start) of each visit, in completion order."""
-    return [(p.tag, p.t_triage, p.t_service_start) for p in out.patients]
-
-
 def test_admit_starts_service_when_free():
     out = one_ed_run([(10.0, YELLOW), (20.0, RED)], [2, 2, 2])
     assert starts(out) == [(YELLOW, 10.0, 10.0), (RED, 20.0, 20.0)]
@@ -355,16 +320,6 @@ def test_capacity_raise_starts_queued_red_first():
         (YELLOW, 465.0, 480.0),
         (YELLOW, 475.0, 490.0),
     ]
-
-
-def test_arrivals_interleave_with_heap_events():
-    # arrivals, completions (at 40 and 75) and the boundary at 480 run in
-    # time order, and arrivals go on after the last completion of the day
-    out = one_ed_run([(10.0, YELLOW), (45.0, RED), (600.0, YELLOW), (1000.0, RED)], [1, 1, 1])
-    assert starts(out) == [
-        (YELLOW, 10.0, 10.0), (RED, 45.0, 45.0), (YELLOW, 600.0, 600.0), (RED, 1000.0, 1000.0),
-    ]
-    assert [p.entry_slot for p in out.patients] == [0, 0, 1, 2]
 
 
 def test_arrival_at_a_slot_boundary_enters_the_new_slot():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ednetsim import scenario_from_dict
+from ednetsim import ReplicationSpec, run_replication, scenario_from_dict
 
 
 def exp_los(mean):
@@ -102,3 +102,41 @@ def asymmetric_pair_scenario(transfer=12.0):
             "plan_bounds": [1, 20],
         }
     )
+
+
+def planted_ed(arrivals):
+    """(scenario, spec) of one day of a single ED, its arrival timeline planted.
+
+    arrivals: (time, tag) pairs, kept in the given order.  Every visit takes
+    exactly 30 minutes and nothing is warm-up.
+    """
+    fixed = {"family": "empirical", "values": [30.0]}
+    sc = scenario_from_dict(
+        {
+            "eds": [{"name": "A", "los": {"yellow": fixed, "red": fixed}}],
+            "plan_bounds": [1, 6],
+        }
+    )
+    spec = ReplicationSpec(horizon=1440.0, warmup=0.0, seed=1)
+    payloads = tuple((0, tag) for _, tag in arrivals)
+    times = np.array([t for t, _ in arrivals], dtype=float)
+    sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
+    return sc, spec
+
+
+def one_ed_run(arrivals, capacities):
+    """One day of a single ED under P1 on a hand-made arrival timeline.
+
+    arrivals: (time, tag) pairs sorted by time; capacities: the ED's plan
+    row.  Each patient's record shows when the queue rules let their
+    service start.
+    """
+    sc, spec = planted_ed(arrivals)
+    out = run_replication(sc, np.array([capacities]), "P1", spec, record_patients=True)
+    assert out.created == len(arrivals) == out.discharged
+    return out
+
+
+def starts(out):
+    """(tag, triage time, service start) of each visit, in completion order."""
+    return [(p.tag, p.t_triage, p.t_service_start) for p in out.patients]
