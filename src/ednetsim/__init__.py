@@ -7,7 +7,7 @@ NVA-time constraints.
 """
 
 from .calibrate import calibrate_ed, calibrate_network, l1_error
-from .distributions import ArrivalProcess, LosDistribution, MeanCI, summarize
+from .distributions import ArrivalProcess, LosDistribution, summarize
 from .engine import EventCalendar, RandomStreams, ReplicationSpec, SimulationLogicError
 from .network import (
     RED,
@@ -36,7 +36,6 @@ __all__ = [
     "BoxedIntegerProblem",
     "EventCalendar",
     "LosDistribution",
-    "MeanCI",
     "ObjectiveSpec",
     "Patient",
     "PolicySpec",

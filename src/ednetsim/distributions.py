@@ -275,15 +275,6 @@ class LosStore:
         return x
 
 
-@dataclass
-class MeanCI:
-    """Sample mean with the half-width of its 95% Student-t interval."""
-
-    mean: float
-    half_width: float
-    n: int
-
-
 def t_critical(df):
     """Two-sided 95% Student-t critical value (one-sided level 0.975)."""
     from scipy.special import stdtrit
@@ -292,7 +283,7 @@ def t_critical(df):
 
 
 def summarize(values):
-    """Mean and 95% confidence half-width over per-replication values."""
+    """(mean, 95% Student-t confidence half-width) of per-replication values."""
     values = list(values)
     n = len(values)
     if n < 2:
@@ -300,4 +291,4 @@ def summarize(values):
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     half_width = t_critical(n - 1) * math.sqrt(var / n)
-    return MeanCI(mean=mean, half_width=half_width, n=n)
+    return mean, half_width

@@ -12,7 +12,6 @@ from heapq import heappop, heappush
 import numpy as np
 
 # Event kinds (ints for cheap dispatch in the event loop).
-ARRIVAL = 0
 SERVICE_COMPLETE = 1
 TRANSFER_COMPLETE = 2
 SLOT_BOUNDARY = 3

@@ -102,7 +102,10 @@ def decide_routing(policy, busy, capacity, thresholds, order, tag, origin):
     server count and its P3 occupancy threshold (math.inf for none: full
     occupancy).  order is nearest_order of the transfer matrix; every policy
     tries candidates in that order.  Returns the target ED index for a
-    redirection, or None to board.
+    redirection, or None to board.  run_replication asks only at an origin
+    at its threshold (busy >= min(threshold, capacity)), since every policy
+    boards elsewhere; for direct callers the function stays total and
+    returns None at an origin with room.
     """
     if policy.id == "P1":
         return None

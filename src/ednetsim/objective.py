@@ -110,7 +110,7 @@ def saa_evaluate(scenario, plan, policy, replications):
     if replications >= 2:
         for i in range(n):
             for tag in (YELLOW, RED):
-                half_width[i, tag] = summarize(rep_means[:, i, tag]).half_width
+                _, half_width[i, tag] = summarize(rep_means[:, i, tag])
 
     return SimSummary(
         plan=plan,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import (
-    ARRIVAL,
     END_OF_HORIZON,
     SERVICE_COMPLETE,
     SLOT_BOUNDARY,
@@ -141,6 +140,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     routing_active = policy.id != "P1"
     staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
     los = {i: _los_store(scenario, streams, i) for i in staffed}
+    los_rows = {i: [[row for _, row in slots] for slots in los[i].cells] for i in staffed}
     starts = [0] * n  # service starts so far, per ED
 
     if not (np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) >= 0.0)):
@@ -162,60 +162,69 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     triage.append(math.inf)  # ends the timeline; the horizon event comes first
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
-    # Arrivals never enter the heap: patient `created` is the next one, and a
-    # heap event at or before its time goes first, so heap events win ties.
-    # The heap holds END_OF_HORIZON until the loop ends, so it is never empty.
+    # Arrivals never enter the heap: patient `created` is the next one, and it
+    # goes first only when it comes strictly before the heap's next event, so
+    # heap events win ties.  The heap holds END_OF_HORIZON until the loop
+    # ends, so it is never empty.
     while True:
-        if heap[0][0] <= triage[created]:
-            clock, i, kind, payload = pop()
-        else:
+        if heap[0][0] > triage[created]:
             i = created
+            created += 1
             clock = calendar.clock = triage[i]
-            kind, payload = ARRIVAL, payloads[i]
-
-        if kind == SERVICE_COMPLETE:
-            i = payload
-            discharged += 1
-            ed_idx = serving[i]
-            t_triage = triage[i]
-            if t_triage >= warmup:
-                origin, tag = payloads[i]
-                nva[ed_idx][tag][entry_slot[i]].append(service_start[i] - t_triage)
-                if records is not None:
-                    moved = ed_idx != origin
-                    records.append(Patient(
-                        tag, origin, ed_idx, t_triage, service_start[i],
-                        tau[origin][ed_idx] if moved else 0.0, int(moved), entry_slot[i],
-                    ))
-            # the freed server goes to the first boarded red patient, else
-            # yellow, unless a capacity drop left the ED over its server count
-            yellow, red = queues[ed_idx]
-            queue = red or yellow
-            if not queue or busy[ed_idx] > capacity[ed_idx]:
-                busy[ed_idx] -= 1
+            ed_idx, tag = payloads[i]
+            b = busy[ed_idx]
+            # P2-P4 divert only from an origin at its threshold (its P3
+            # threshold, else full occupancy); elsewhere every policy boards
+            if routing_active and (b >= capacity[ed_idx] or b >= thresholds[ed_idx]):
+                target = decide_routing(policy, busy, capacity, thresholds, order, tag, ed_idx)
+                if target is not None:
+                    if target == ed_idx:
+                        raise SimulationLogicError(f"ED {ed_idx} redirected to itself")
+                    if clock >= warmup:
+                        redirects_out[ed_idx] += 1
+                    serving[i] = target
+                    schedule(clock + tau[ed_idx][target], TRANSFER_COMPLETE, i)
+                    continue
+            serving[i] = ed_idx
+            entry_slot[i] = entered = slot
+            if b >= capacity[ed_idx]:
+                queues[ed_idx][tag].append(i)
                 continue
-            i = queue.popleft()
-            tag, entered = payloads[i][1], entry_slot[i]
+            busy[ed_idx] = b + 1
 
         else:
-            if kind == ARRIVAL:
-                ed_idx, tag = payload
-                created += 1
-                if routing_active:
-                    target = decide_routing(policy, busy, capacity, thresholds, order, tag, ed_idx)
-                    if target is not None:
-                        if target == ed_idx:
-                            raise SimulationLogicError(f"ED {ed_idx} redirected to itself")
-                        if clock >= warmup:
-                            redirects_out[ed_idx] += 1
-                        serving[i] = target
-                        schedule(clock + tau[ed_idx][target], TRANSFER_COMPLETE, i)
-                        continue
+            clock, _, kind, i = pop()  # the payload of a patient's event is the patient
+            if kind == SERVICE_COMPLETE:
+                discharged += 1
+                ed_idx = serving[i]
+                t_triage = triage[i]
+                if t_triage >= warmup:
+                    origin, tag = payloads[i]
+                    nva[ed_idx][tag][entry_slot[i]].append(service_start[i] - t_triage)
+                    if records is not None:
+                        moved = ed_idx != origin
+                        records.append(Patient(
+                            tag, origin, ed_idx, t_triage, service_start[i],
+                            tau[origin][ed_idx] if moved else 0.0, int(moved), entry_slot[i],
+                        ))
+                # the freed server goes to the first boarded red patient, else
+                # yellow, unless a capacity drop left the ED over its server count
+                yellow, red = queues[ed_idx]
+                queue = red or yellow
+                if not queue or busy[ed_idx] > capacity[ed_idx]:
+                    busy[ed_idx] -= 1
+                    continue
+                i = queue.popleft()
+                tag, entered = payloads[i][1], entry_slot[i]
 
             elif kind == TRANSFER_COMPLETE:
                 # boarding without a routing decision: nobody is redirected twice
-                i = payload
                 ed_idx, tag = serving[i], payloads[i][1]
+                entry_slot[i] = entered = slot
+                if busy[ed_idx] >= capacity[ed_idx]:
+                    queues[ed_idx][tag].append(i)
+                    continue
+                busy[ed_idx] += 1
 
             elif kind == SLOT_BOUNDARY:
                 slot = slot_of(clock)
@@ -238,21 +247,12 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             else:  # pragma: no cover - the calendar only holds the kinds above
                 raise SimulationLogicError(f"unhandled event kind {kind}")
 
-            # boarding: an arrival that stays, or a completed transfer
-            serving[i] = ed_idx
-            entry_slot[i] = entered = slot
-            if busy[ed_idx] < capacity[ed_idx]:
-                busy[ed_idx] += 1
-            else:
-                queues[ed_idx][tag].append(i)
-                continue
-
         # service starts for patient i at ed_idx, on the LOS value kept for
         # its (distribution, k) if an earlier replication computed it
         service_start[i] = clock
         k = starts[ed_idx]
         starts[ed_idx] = k + 1
-        row = los[ed_idx].cells[tag][entered][1]
+        row = los_rows[ed_idx][tag][entered]
         los_minutes = row[k] if k < len(row) else math.nan
         if los_minutes != los_minutes:
             los_minutes = los[ed_idx].value(tag, entered, k)

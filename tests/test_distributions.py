@@ -288,10 +288,9 @@ def test_t_critical_values():
 
 
 def test_summarize_hand_value():
-    ci = summarize([10.0, 12.0, 14.0])
-    assert ci.mean == pytest.approx(12.0)
-    assert ci.n == 3
-    assert ci.half_width == pytest.approx(4.3027 * 2.0 / math.sqrt(3.0), abs=1e-3)
+    mean, half_width = summarize([10.0, 12.0, 14.0])
+    assert mean == pytest.approx(12.0)
+    assert half_width == pytest.approx(4.3027 * 2.0 / math.sqrt(3.0), abs=1e-3)
 
 
 def test_summarize_requires_two_values():
@@ -300,6 +299,4 @@ def test_summarize_requires_two_values():
 
 
 def test_summarize_zero_variance():
-    ci = summarize([7.0, 7.0, 7.0, 7.0])
-    assert ci.mean == 7.0
-    assert ci.half_width == 0.0
+    assert summarize([7.0, 7.0, 7.0, 7.0]) == (7.0, 0.0)

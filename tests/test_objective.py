@@ -98,9 +98,9 @@ def test_saa_half_width_matches_summarize():
     base = ReplicationSpec(horizon=15 * 1440.0, warmup=480.0, seed=3)
     sc = with_replication(sc, base)
     s = saa_evaluate(sc, [[2, 2, 2]], "P1", replications=5)
-    ci = summarize(s.rep_means[:, 0, YELLOW])
-    assert s.mean_nva[0, YELLOW] == pytest.approx(ci.mean)
-    assert s.half_width[0, YELLOW] == pytest.approx(ci.half_width)
+    mean, half_width = summarize(s.rep_means[:, 0, YELLOW])
+    assert s.mean_nva[0, YELLOW] == pytest.approx(mean)
+    assert s.half_width[0, YELLOW] == pytest.approx(half_width)
     assert s.replications == len(s.rep_means) == 5
 
 

@@ -25,7 +25,7 @@ from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import _with_flags
 from ednetsim.distributions import ArrivalProcess, LosDistribution
 from ednetsim.engine import SERVICE_COMPLETE, EventCalendar, SimulationLogicError
-from ednetsim.network import RED, YELLOW, PolicySpec
+from ednetsim.network import RED, YELLOW, PolicySpec, decide_routing
 
 from util import (
     asymmetric_pair_scenario,
@@ -34,6 +34,7 @@ from util import (
     one_ed_run,
     plan_for,
     planted_ed,
+    planted_network,
     single_ed_scenario,
     starts,
     with_replication,
@@ -401,6 +402,62 @@ def test_self_redirect_is_a_logic_error():
     to_origin = mock.patch("ednetsim.simulate.decide_routing", lambda *args: args[-1])
     with to_origin, pytest.raises(SimulationLogicError, match="to itself"):
         run_replication(sc, plan, "P2", short_spec(days=1))
+
+
+def routing_recorder():
+    """(calls, a decide_routing that appends (busy, capacity, thresholds, tag, origin, target) to calls)."""
+    calls = []
+
+    def record(policy, busy, capacity, thresholds, order, tag, origin):
+        target = decide_routing(policy, busy, capacity, thresholds, order, tag, origin)
+        calls.append((list(busy), list(capacity), list(thresholds), tag, origin, target))
+        return target
+
+    return calls, record
+
+
+@pytest.mark.parametrize(
+    "policy", [PolicySpec("P2"), PolicySpec("P3", p3_thresholds=[1, 2, 1]), PolicySpec("P4")],
+    ids=["P2", "P3", "P4"],
+)
+def test_routing_is_asked_only_at_an_origin_at_its_threshold(policy):
+    # ED A is flooded, B is busy and C mostly idle; every P3 threshold is
+    # below its ED's capacity
+    arrivals = sorted(
+        [(5.0 * k, 0, (YELLOW, YELLOW, RED)[k % 3]) for k in range(31)]
+        + [(3.0 + 10.0 * k, 1, YELLOW) for k in range(20)]
+        + [(7.0 + 30.0 * k, 2, (RED, YELLOW)[k % 2]) for k in range(10)],
+        key=lambda a: a[0],
+    )
+    plan = np.array([[2, 2, 2], [3, 3, 3], [2, 2, 2]])
+    sc, spec = planted_network(arrivals, n=3)
+    calls, record = routing_recorder()
+    with mock.patch.object(simulate, "decide_routing", record):
+        out = run_replication(sc, plan, policy, spec, record_patients=True)
+    for busy, capacity, thresholds, _, origin, _ in calls:
+        assert busy[origin] >= min(thresholds[origin], capacity[origin])
+    assert 0 < len(calls) < len(arrivals)
+    assert any(target is not None for *_, target in calls)
+    bare = run_replication(sc, plan, policy, spec, record_patients=True)
+    assert out.patients == bare.patients
+    assert (out.nva, out.redirects_out) == (bare.nva, bare.redirects_out)
+
+
+def test_p3_red_arrival_is_asked_only_at_an_origin_at_its_threshold():
+    policy = PolicySpec("P3", p3_thresholds=[1, 1])
+    plan = np.array([[2, 2, 2], [2, 2, 2]])
+    sc, spec = planted_network([(10.0, 0, RED)], n=2)
+    calls, record = routing_recorder()
+    with mock.patch.object(simulate, "decide_routing", record):
+        run_replication(sc, plan, policy, spec)
+    assert calls == []
+    # behind a yellow patient the origin is at its threshold (1 of 2 busy):
+    # the red patient gets a call, which says board, and boards at once
+    sc, spec = planted_network([(10.0, 0, YELLOW), (15.0, 0, RED)], n=2)
+    with mock.patch.object(simulate, "decide_routing", record):
+        out = run_replication(sc, plan, policy, spec, record_patients=True)
+    assert [(tag, origin, target) for *_, tag, origin, target in calls] == [(RED, 0, None)]
+    assert starts(out) == [(YELLOW, 10.0, 10.0), (RED, 15.0, 15.0)]
 
 
 def test_redirect_counts_only_under_diverting_policies():

@@ -104,24 +104,33 @@ def asymmetric_pair_scenario(transfer=12.0):
     )
 
 
-def planted_ed(arrivals):
-    """(scenario, spec) of one day of a single ED, its arrival timeline planted.
+def planted_network(arrivals, n=1):
+    """(scenario, spec) of one day of an n-ED network, its arrival timeline planted.
 
-    arrivals: (time, tag) pairs, kept in the given order.  Every visit takes
-    exactly 30 minutes and nothing is warm-up.
+    arrivals: (time, ED, tag) triples, kept in the given order.  Every visit
+    takes exactly 30 minutes, a transfer from ED i to ED j 10 + 5|i - j|
+    minutes, and nothing is warm-up.
     """
     fixed = {"family": "empirical", "values": [30.0]}
     sc = scenario_from_dict(
         {
-            "eds": [{"name": "A", "los": {"yellow": fixed, "red": fixed}}],
+            "eds": [{"name": "ABCDEF"[i], "los": {"yellow": fixed, "red": fixed}} for i in range(n)],
+            "transfer_minutes": [
+                [0.0 if i == j else 10.0 + 5.0 * abs(i - j) for j in range(n)] for i in range(n)
+            ],
             "plan_bounds": [1, 6],
         }
     )
     spec = ReplicationSpec(horizon=1440.0, warmup=0.0, seed=1)
-    payloads = tuple((0, tag) for _, tag in arrivals)
-    times = np.array([t for t, _ in arrivals], dtype=float)
+    payloads = tuple((ed, tag) for _, ed, tag in arrivals)
+    times = np.array([t for t, _, _ in arrivals], dtype=float)
     sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
     return sc, spec
+
+
+def planted_ed(arrivals):
+    """(scenario, spec) of one day of a single ED; arrivals are (time, tag) pairs."""
+    return planted_network([(t, 0, tag) for t, tag in arrivals])
 
 
 def one_ed_run(arrivals, capacities):
