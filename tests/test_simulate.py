@@ -405,7 +405,11 @@ def test_self_redirect_is_a_logic_error():
 
 
 def routing_recorder():
-    """(calls, a decide_routing that appends (busy, capacity, thresholds, tag, origin, target) to calls)."""
+    """(calls, a decide_routing that records each call in calls).
+
+    A record is (busy, capacity, thresholds, tag, origin, target), the
+    lists copied as the loop passed them.
+    """
     calls = []
 
     def record(policy, busy, capacity, thresholds, order, tag, origin):
