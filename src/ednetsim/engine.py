@@ -29,10 +29,11 @@ class SimulationLogicError(RuntimeError):
 class EventCalendar:
     """Future-event list: a heap of scheduled events and the clock.
 
-    Events are ordered by (time, insertion sequence number), so ties go in
-    insertion order and payloads are never compared.  `heap` is the heapq
-    list itself: heap[0] is the next event, and callers only read it.
-    Every replication is thus a pure function of its inputs.
+    Events are ordered by (time, seq): seq is 0 for a slot boundary and the
+    insertion number otherwise, so a tie goes to a slot boundary first, then
+    to the other events in insertion order, and payloads are never compared.
+    `heap` is the heapq list itself: heap[0] is the next event, and callers
+    only read it.  Every replication is thus a pure function of its inputs.
     """
 
     def __init__(self):
@@ -47,7 +48,7 @@ class EventCalendar:
                 f"before current clock t={self.clock:g}"
             )
         self._seq += 1
-        heappush(self.heap, (time, self._seq, kind, payload))
+        heappush(self.heap, (time, 0 if kind == SLOT_BOUNDARY else self._seq, kind, payload))
 
     def pop(self):
         """Remove and return the next (time, seq, kind, payload); advances the clock."""

@@ -148,10 +148,8 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     calendar = EventCalendar()
     heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
     schedule(horizon, END_OF_HORIZON)
-    boundary = SLOT_MINUTES
-    while boundary < horizon:
-        schedule(boundary, SLOT_BOUNDARY)
-        boundary += SLOT_MINUTES
+    if SLOT_MINUTES < horizon:
+        schedule(SLOT_MINUTES, SLOT_BOUNDARY)
 
     nva = [[[[] for _ in range(SLOTS_PER_DAY)] for _ in range(2)] for _ in range(n)]
     redirects_out = [0] * n
@@ -163,9 +161,10 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
     # Arrivals never enter the heap: patient `created` is the next one, and it
-    # goes first only when it comes strictly before the heap's next event, so
-    # heap events win ties.  The heap holds END_OF_HORIZON until the loop
-    # ends, so it is never empty.
+    # goes first only when it comes strictly before the heap's next event.  A
+    # tie goes to a slot boundary, then other scheduled events in insertion
+    # order, then the arrival.  Each slot boundary schedules the next, so the
+    # heap holds the next one only, and END_OF_HORIZON keeps it from emptying.
     while True:
         if heap[0][0] > triage[created]:
             i = created
@@ -227,6 +226,8 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
                 busy[ed_idx] += 1
 
             elif kind == SLOT_BOUNDARY:
+                if clock + SLOT_MINUTES < horizon:
+                    schedule(clock + SLOT_MINUTES, SLOT_BOUNDARY)
                 slot = slot_of(clock)
                 for e in staffed:
                     capacity[e] = plan[e][slot]

@@ -23,8 +23,8 @@ from ednetsim import (
 from ednetsim import simulate
 from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import _with_flags
-from ednetsim.distributions import ArrivalProcess, LosDistribution
-from ednetsim.engine import SERVICE_COMPLETE, EventCalendar, SimulationLogicError
+from ednetsim.distributions import SLOT_MINUTES, ArrivalProcess, LosDistribution
+from ednetsim.engine import SERVICE_COMPLETE, SLOT_BOUNDARY, EventCalendar, SimulationLogicError
 from ednetsim.network import RED, YELLOW, PolicySpec, decide_routing
 
 from util import (
@@ -337,6 +337,41 @@ def test_completion_at_an_arrival_minute_serves_the_queue_first():
     # first, red priority would have given it the server
     out = one_ed_run([(10.0, YELLOW), (20.0, YELLOW), (40.0, RED)], [1, 1, 1])
     assert starts(out) == [(YELLOW, 10.0, 10.0), (YELLOW, 20.0, 40.0), (RED, 40.0, 70.0)]
+
+
+def test_slot_boundary_goes_before_a_completion_at_its_minute():
+    # the visit that starts at the boundary at 480 ends at the boundary at
+    # 1440.  The boundary goes first and drops the ED to one server, so that
+    # completion frees the excess server, and the patient boarded at 1434
+    # waits for the visit that ends at 2392: their own visit outlasts the run
+    arrivals = [(t, 0, YELLOW) for t in (470.0, 475.0, 1432.0, 1434.0)]
+    sc, spec = planted_network(arrivals, visit=960.0, horizon=2 * 1440.0)
+    out = run_replication(sc, np.array([[1, 2, 2]]), "P1", spec, record_patients=True)
+    assert [(p.t_triage, p.t_service_start) for p in out.patients] == [
+        (470.0, 470.0), (475.0, 480.0), (1432.0, 1432.0),
+    ]
+    assert (out.created, out.discharged) == (4, 3)
+
+
+def test_each_slot_boundary_is_scheduled_by_the_one_before():
+    # the first boundary is scheduled at clock 0 and each later one when the
+    # boundary before it pops, so the heap never holds two
+    scheduled = []
+    original = EventCalendar.schedule
+
+    def schedule(cal, time, kind, payload=None):
+        if kind == SLOT_BOUNDARY:
+            pending = sum(event[2] == SLOT_BOUNDARY for event in cal.heap)
+            scheduled.append((cal.clock, time, pending))
+        return original(cal, time, kind, payload)
+
+    sc, days = network_scenario(policy="P4"), 4
+    plan = np.array([[1, 2, 1], [2, 1, 2], [1, 1, 1]])
+    with mock.patch.object(EventCalendar, "schedule", schedule):
+        run_replication(sc, plan, "P4", short_spec(days=days))
+    assert scheduled[0] == (0.0, SLOT_MINUTES, 0)
+    assert all(time == clock + SLOT_MINUTES and not pending for clock, time, pending in scheduled)
+    assert len(scheduled) == days * 3 - 1  # every boundary before the horizon
 
 
 def test_arrival_advances_the_calendar_clock():

@@ -104,14 +104,15 @@ def asymmetric_pair_scenario(transfer=12.0):
     )
 
 
-def planted_network(arrivals, n=1):
-    """(scenario, spec) of one day of an n-ED network, its arrival timeline planted.
+def planted_network(arrivals, n=1, visit=30.0, horizon=1440.0):
+    """(scenario, spec) of an n-ED network, its arrival timeline planted.
 
     arrivals: (time, ED, tag) triples, kept in the given order.  Every visit
-    takes exactly 30 minutes, a transfer from ED i to ED j 10 + 5|i - j|
-    minutes, and nothing is warm-up.
+    takes exactly `visit` minutes, a transfer from ED i to ED j 10 + 5|i - j|
+    minutes, the run `horizon` minutes (one day by default), and nothing is
+    warm-up.
     """
-    fixed = {"family": "empirical", "values": [30.0]}
+    fixed = {"family": "empirical", "values": [visit]}
     sc = scenario_from_dict(
         {
             "eds": [{"name": "ABCDEF"[i], "los": {"yellow": fixed, "red": fixed}} for i in range(n)],
@@ -121,7 +122,7 @@ def planted_network(arrivals, n=1):
             "plan_bounds": [1, 6],
         }
     )
-    spec = ReplicationSpec(horizon=1440.0, warmup=0.0, seed=1)
+    spec = ReplicationSpec(horizon=horizon, warmup=0.0, seed=1)
     payloads = tuple((ed, tag) for _, ed, tag in arrivals)
     times = np.array([t for t, _, _ in arrivals], dtype=float)
     sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
