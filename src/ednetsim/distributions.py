@@ -11,6 +11,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,6 +114,57 @@ class ArrivalProcess:
         return np.concatenate(out) if len(out) > 1 else out[0]
 
 
+# Cephes ndtri (S. L. Moshier), the inverse normal CDF that scipy.special.ndtri
+# runs: the same coefficients, region split and Horner order give the same
+# doubles.  P0/Q0 cover exp(-2) < y < 1 - exp(-2); P1/Q1 and P2/Q2 the tails,
+# split at x = sqrt(-2 log y) = 8.  Q* omit their leading coefficient 1.
+_EXPM2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def ndtri(y):
+    """Inverse of the standard normal CDF; -inf at 0, +inf at 1, NaN outside [0, 1]."""
+    if not 0.0 < y < 1.0:
+        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
+    upper = y > 1.0 - _EXPM2
+    if upper:
+        y = 1.0 - y
+    if y > _EXPM2:
+        y -= 0.5
+        y2 = y * y
+        p, q = _P0, _Q0
+        num = (((p[0] * y2 + p[1]) * y2 + p[2]) * y2 + p[3]) * y2 + p[4]
+        den = (((((((y2 + q[0]) * y2 + q[1]) * y2 + q[2]) * y2 + q[3]) * y2 + q[4]) * y2
+                 + q[5]) * y2 + q[6]) * y2 + q[7]
+        return (y + y * (y2 * num / den)) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    num = (((((((p[0] * z + p[1]) * z + p[2]) * z + p[3]) * z + p[4]) * z + p[5]) * z
+             + p[6]) * z + p[7]) * z + p[8]
+    den = (((((((z + q[0]) * z + q[1]) * z + q[2]) * z + q[3]) * z + q[4]) * z + q[5]) * z
+           + q[6]) * z + q[7]
+    x = x - math.log(x) / x - z * num / den
+    return x if upper else -x
+
+
 def finite_number(value, name):
     """value as a float, or a ValueError naming `name` unless it is a finite number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -207,11 +259,11 @@ class LosDistribution:
                 raise ValueError("empirical LOS values must be positive")
             p = {"values": values}
         self.params = p
-        if self.family in ("lognormal", "gamma"):
-            # scipy takes about 0.3 s to import, so only the families that need it load it
-            from scipy import special
+        if self.family == "gamma":
+            # scipy takes about 0.25 s to import, so only gamma visit times load it
+            from scipy.special import gammaincinv
 
-            self._inverse = special.ndtri if self.family == "lognormal" else special.gammaincinv
+            self._inverse = gammaincinv
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1); one uniform per sample."""
@@ -219,7 +271,7 @@ class LosDistribution:
         if self.family == "exponential":
             x = -p["mean"] * math.log(1.0 - u)
         elif self.family == "lognormal":
-            x = math.exp(p["mu"] + p["sigma"] * self._inverse(u)) if u > 0.0 else 0.0
+            x = math.exp(p["mu"] + p["sigma"] * ndtri(u))
         elif self.family == "gamma":
             x = float(self._inverse(p["shape"], u)) * p["scale"]
         elif self.family == "weibull":
@@ -275,11 +327,35 @@ class LosStore:
         return x
 
 
+@lru_cache(maxsize=None)
 def t_critical(df):
-    """Two-sided 95% Student-t critical value (one-sided level 0.975)."""
-    from scipy.special import stdtrit
+    """Two-sided 95% Student-t critical value (one-sided level 0.975) for integer df >= 1.
 
-    return float(stdtrit(df, 0.975))
+    Newton's method on P(|T| <= t) = 0.95, in its closed form for integer
+    df (Abramowitz & Stegun 26.7.3-4: atan for odd df, then a series in
+    cos^2).  That probability is concave in t > 0, so the iterates rise from
+    the normal quantile to the root.
+    """
+    odd = df % 2
+    # the density at t is density * c2 ** ((df + 1) / 2)
+    density = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(math.pi * df)
+    t = 1.959963984540054
+    while True:
+        c2 = df / (df + t * t)  # cos^2 of atan(t / sqrt(df))
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= c2 * (2 * k - 1 + odd) / (2 * k + odd)
+            total += term
+        sin = t / math.sqrt(df + t * t)
+        if odd:
+            theta = math.atan(t / math.sqrt(df))
+            prob = 2.0 / math.pi * (theta + (sin * math.sqrt(c2) * total if df > 1 else 0.0))
+        else:
+            prob = sin * total
+        step = (0.95 - prob) / (2.0 * density * c2 ** ((df + 1) / 2))
+        if t + step <= t:
+            return t
+        t += step
 
 
 def summarize(values):

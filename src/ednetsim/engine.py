@@ -9,7 +9,8 @@ single replication seed.
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-import numpy as np
+# numpy loads numpy.random on first use; import it with the engine, not in the first replication
+from numpy.random import PCG64, Generator, SeedSequence
 
 # Event kinds (ints for cheap dispatch in the event loop).
 SERVICE_COMPLETE = 1
@@ -90,7 +91,6 @@ class RandomStreams:
         gen = self._streams.get(key)
         if gen is None:
             code = _PURPOSE_CODES[purpose]
-            ss = np.random.SeedSequence([self.seed, ed, code])
-            gen = np.random.Generator(np.random.PCG64(ss))
+            gen = Generator(PCG64(SeedSequence([self.seed, ed, code])))
             self._streams[key] = gen
         return gen

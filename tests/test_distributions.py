@@ -17,6 +17,7 @@ from ednetsim.distributions import (
     ArrivalProcess,
     LosDistribution,
     LosStore,
+    ndtri,
     rate_from_annual_count,
     summarize,
     t_critical,
@@ -258,8 +259,7 @@ def test_los_validation_errors():
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats takes longer to import than all of ednetsim's other imports,
-    # and scipy.special, which only lognormal and gamma visit times and
-    # confidence intervals need, about 0.3 s
+    # and scipy.special, which only gamma visit times need, about 0.25 s
     src = str(Path(ednetsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
@@ -274,9 +274,20 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
     code = f"import sys; from ednetsim.cli import main; sys.exit(main({argv!r}) or 'scipy.special' in sys.modules)"
     assert exit_code(code) == 0
     assert (tmp_path / "calibrated_plan.csv").exists()
-    # lognormal visit times load it as the scenario is parsed
-    lazio = str(scenarios / "lazio_synthetic.yaml")
-    code = f"import sys; from ednetsim import parse_scenario; parse_scenario({lazio!r}); sys.exit('scipy.special' not in sys.modules)"
+    # lognormal visit times (ndtri) and confidence intervals (t_critical)
+    # load no scipy module at all
+    lazio = scenarios / "lazio_synthetic.yaml"
+    argv = ["optimize", "--scenario", str(lazio), "--budget", "2", "--replications", "2",
+            "--out", str(tmp_path / "lazio")]
+    no_scipy = "any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)"
+    code = f"import sys; from ednetsim.cli import main; sys.exit(main({argv!r}) or {no_scipy})"
+    assert exit_code(code) == 0
+    assert (tmp_path / "lazio" / "optimal_plan_P1.csv").exists()
+    # gamma visit times load scipy.special as the scenario is parsed
+    gamma = tmp_path / "gamma.yaml"
+    gamma.write_text(lazio.read_text().replace("family: lognormal", "family: gamma"))
+    code = (f"import sys; from ednetsim import parse_scenario; parse_scenario({str(gamma)!r}); "
+            "sys.exit('scipy.special' not in sys.modules)")
     assert exit_code(code) == 0
 
 
@@ -285,6 +296,37 @@ def test_t_critical_values():
     assert t_critical(9) == pytest.approx(2.2622, abs=2e-4)
     assert t_critical(29) == pytest.approx(2.0452, abs=2e-4)
     assert t_critical(1) == pytest.approx(12.7062, abs=2e-4)
+
+
+def test_t_critical_matches_scipy():
+    from scipy.special import stdtrit
+
+    for df in [*range(1, 201), 1000]:
+        assert t_critical(df) == pytest.approx(float(stdtrit(df, 0.975)), rel=1e-12, abs=0.0)
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri as scipy_ndtri
+
+    rng = np.random.default_rng(20240611)
+    uniforms = rng.random(200_000)
+    tails = 10.0 ** rng.uniform(-300.0, 0.0, 20_000)
+    edges = []
+    # the region edges exp(-2) and 1 - exp(-2), as Cephes writes exp(-2) and as libm computes it
+    for e in (0.13533528323661269189, math.exp(-2.0)):
+        for y in (e, 1.0 - e):
+            edges += [y, math.nextafter(y, 0.0), math.nextafter(y, 1.0)]
+    edges += [5e-324, 0.0, 1.0, 0.5]
+    for y in [*uniforms.tolist(), *tails.tolist(), *(1.0 - tails).tolist(), *edges]:
+        assert ndtri(y) == float(scipy_ndtri(y)), y
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+    # the lognormal quantile equals the formula it had with scipy's ndtri
+    for params in ({"mean": 146.9, "cv": 0.8}, {"mu": 4.0, "sigma": 1.3}):
+        dist = LosDistribution("lognormal", params)
+        mu, sigma = dist.params["mu"], dist.params["sigma"]
+        for u in [0.0, *uniforms[:20_000].tolist(), *tails[:2_000].tolist()]:
+            old = math.exp(mu + sigma * scipy_ndtri(u)) if u > 0.0 else 0.0
+            assert dist.quantile(u) == (old if old > 0.0 else 1e-12)
 
 
 def test_summarize_hand_value():
