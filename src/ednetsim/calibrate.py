@@ -9,6 +9,8 @@ order.  A triple stops replicating once its partial waits prove that its
 error exceeds the best found so far (see simulated_waits), so it could
 not win and the result is the exhaustive search's.  That proof needs
 every simulated wait cell to be >= 0, which censored waits must keep.
+Triples nearest the ED's offered load run first, where good staffing
+sits, so a low error stops the rest sooner; every order gives one result.
 """
 
 import math
@@ -64,17 +66,27 @@ def calibrate_ed(scenario, ed, real, replications):
         simulated_waits).
     real: 3x2 (slot, tag) observed mean waits in minutes.
     Returns (capacities, error): the best triple and its L1 error.  Triples
-    run from the most resources down, in reverse product order, since a low
-    error found early stops more of the rest sooner.
+    run in order of L1 distance from the ceiling of the ED's offered load
+    per slot (arrival rate times mean visit time, summed over tags), ties
+    in reverse product order.
     """
     real = np.asarray(real, dtype=float)
     if real.shape != (SLOTS_PER_DAY, 2):
         raise ValueError(f"real wait table must be {SLOTS_PER_DAY}x2, got {real.shape}")
     if (real < 0).any():
         raise ValueError("real waits must be non-negative")
+    if not 0 <= ed < scenario.n_eds:
+        raise ValueError(f"ED index {ed} out of range [0, {scenario.n_eds})")
+    load = [0.0] * SLOTS_PER_DAY
+    for process, los in zip(scenario.arrivals[ed], scenario.los[ed]):
+        if process is not None:
+            load = [x + r * d.mean if r else x for x, r, d in zip(load, process.slot_rates, los)]
     lo, hi = scenario.plan_bounds
+    # a centre past hi gives the order that hi gives; so does an overflowing mean
+    centre = [math.ceil(min(x, hi)) for x in load]
     best = math.inf, 0, None
-    for t in product(range(hi, lo - 1, -1), repeat=SLOTS_PER_DAY):
+    grid = product(range(hi, lo - 1, -1), repeat=SLOTS_PER_DAY)
+    for t in sorted(grid, key=lambda t: sum(abs(c - x) for c, x in zip(t, centre))):
         waits = simulated_waits(scenario, t, replications, ed, (real, best[0]))
         if waits is not None:
             best = min(best, (l1_error(waits, real), sum(t), t))

@@ -265,6 +265,23 @@ class LosDistribution:
 
             self._inverse = gammaincinv
 
+    @property
+    def mean(self):
+        """The distribution's mean in minutes, in closed form; inf past the largest float."""
+        p = self.params
+        try:
+            if self.family == "exponential":
+                return p["mean"]
+            if self.family == "lognormal":
+                return math.exp(p["mu"] + p["sigma"] ** 2 / 2.0)
+            if self.family == "gamma":
+                return p["shape"] * p["scale"]
+            if self.family == "weibull":
+                return p["scale"] * math.gamma(1.0 + 1.0 / p["shape"])
+            return sum(p["values"]) / len(p["values"])
+        except OverflowError:
+            return math.inf
+
     def quantile(self, u):
         """Inverse CDF at u in [0, 1); one uniform per sample."""
         p = self.params

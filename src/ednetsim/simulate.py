@@ -158,6 +158,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     triage = times.tolist()
     serving, service_start, entry_slot = [0] * len(triage), [0.0] * len(triage), [0] * len(triage)
     triage.append(math.inf)  # ends the timeline; the horizon event comes first
+    next_arrival = triage[0]  # triage[created], kept in a local
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
     # Arrivals never enter the heap: patient `created` is the next one, and it
@@ -166,10 +167,11 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     # order, then the arrival.  Each slot boundary schedules the next, so the
     # heap holds the next one only, and END_OF_HORIZON keeps it from emptying.
     while True:
-        if heap[0][0] > triage[created]:
+        if heap[0][0] > next_arrival:
             i = created
             created += 1
-            clock = calendar.clock = triage[i]
+            clock = calendar.clock = next_arrival
+            next_arrival = triage[created]
             ed_idx, tag = payloads[i]
             b = busy[ed_idx]
             # P2-P4 divert only from an origin at its threshold (its P3
@@ -253,8 +255,10 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
         service_start[i] = clock
         k = starts[ed_idx]
         starts[ed_idx] = k + 1
-        row = los_rows[ed_idx][tag][entered]
-        los_minutes = row[k] if k < len(row) else math.nan
+        try:
+            los_minutes = los_rows[ed_idx][tag][entered][k]
+        except IndexError:  # no value kept this far yet
+            los_minutes = math.nan
         if los_minutes != los_minutes:
             los_minutes = los[ed_idx].value(tag, entered, k)
         schedule(clock + los_minutes, SERVICE_COMPLETE, i)

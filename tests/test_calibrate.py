@@ -84,11 +84,9 @@ def test_grid_matches_independent_enumeration():
     assert calibrate_ed(sc, 0, real, replications=2) == _full_enumeration(sc, real, 2)
 
 
-def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
+def _searched_triples(monkeypatch):
     from ednetsim import calibrate
 
-    sc = single_ed_scenario(rates_yellow=(0.05, 0.05, 0.05), los_mean=30.0, plan_bounds=(2, 3))
-    sc = with_replication(sc, ReplicationSpec(horizon=4 * 1440.0, warmup=480.0, seed=5))
     searched = []
     original = calibrate.simulated_waits
 
@@ -97,9 +95,46 @@ def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
         return original(scenario, capacities, replications, ed, bound)
 
     monkeypatch.setattr(calibrate, "simulated_waits", recording)
+    return searched
+
+
+def test_calibrate_ed_searches_plan_bounds_by_default(monkeypatch):
+    sc = single_ed_scenario(rates_yellow=(0.05, 0.05, 0.05), los_mean=30.0, plan_bounds=(2, 3))
+    sc = with_replication(sc, ReplicationSpec(horizon=4 * 1440.0, warmup=480.0, seed=5))
+    searched = _searched_triples(monkeypatch)
     caps, _ = calibrate_ed(sc, 0, np.zeros((3, 2)), replications=1)
     assert sorted(searched) == list(product((2, 3), repeat=3))
     assert caps == (3, 3, 3)
+
+
+def test_search_starts_at_the_offered_load(monkeypatch):
+    # offered load per slot: (0.05 + 0.01) * 30, (0.09 + 0.02) * 30 and
+    # (0.03 + 0.01) * 30 minutes = 1.8, 3.3 and 1.2 busy servers
+    sc = single_ed_scenario(
+        rates_yellow=(0.05, 0.09, 0.03), rates_red=(0.01, 0.02, 0.01), plan_bounds=(1, 5)
+    )
+    sc = with_replication(sc, ReplicationSpec(horizon=2 * 1440.0, warmup=480.0, seed=5))
+    searched = _searched_triples(monkeypatch)
+    calibrate_ed(sc, 0, np.full((3, 2), 10.0), replications=1)
+    assert searched[0] == (2, 4, 2)
+    assert sorted(searched) == list(product(range(1, 6), repeat=3))
+    distances = [sum(abs(c - x) for c, x in zip(t, (2, 4, 2))) for t in searched]
+    assert distances == sorted(distances)
+
+
+@pytest.mark.parametrize(
+    "rates_yellow, rates_red, bounds",
+    [
+        ((0.12, 0.18, 0.12), (0.02, 0.03, 0.02), (2, 3)),  # load 4.2 / 6.3 / 4.2, above
+        ((0.01, 0.02, 0.01), (0.002, 0.002, 0.002), (3, 4)),  # load under 1, below
+        ((0.06, 0.09, 0.06), None, (2, 4)),  # no red arrivals
+    ],
+)
+def test_search_from_any_offered_load_matches_full_enumeration(rates_yellow, rates_red, bounds):
+    sc = single_ed_scenario(rates_yellow=rates_yellow, rates_red=rates_red, plan_bounds=bounds)
+    sc = with_replication(sc, ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=23))
+    real = simulated_waits(replace(sc), (bounds[1], bounds[0], bounds[1]), 2, 0) + 1.5
+    assert calibrate_ed(sc, 0, real, 2) == _full_enumeration(sc, real, 2)
 
 
 def _counting_replications(monkeypatch):
@@ -152,7 +187,8 @@ def test_stopping_runs_fewer_replications_than_the_grid(monkeypatch):
 def test_a_tie_on_error_goes_to_fewer_resources():
     # at this light load slots 1 and 3 never need a third server, so (2, 2, 2),
     # (2, 2, 3), (3, 2, 2) and (3, 2, 3) wait alike; as do (1, 2, 2) and
-    # (1, 2, 3).  The search meets each tie's larger triple first.
+    # (1, 2, 3).  The tie rule does not depend on the order the search
+    # visits the triples in.
     sc = single_ed_scenario(rates_yellow=(0.003,) * 3, rates_red=(0.002,) * 3, plan_bounds=(1, 3))
     sc = with_replication(sc, ReplicationSpec(horizon=3 * 1440.0, warmup=480.0, seed=5))
     waits = simulated_waits(replace(sc), (2, 2, 2), 2, 0)

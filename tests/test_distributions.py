@@ -200,6 +200,33 @@ def test_empirical_los():
     assert dist.quantile(0.999) == 20.0
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("exponential", {"mean": 30.0}),
+        ("lognormal", {"mean": 100.0, "cv": 0.8}),
+        ("lognormal", {"mu": 3.0, "sigma": 0.5}),
+        ("gamma", {"mean": 45.0, "cv": 0.7}),
+        ("gamma", {"shape": 2.0, "scale": 12.0}),
+        ("weibull", {"shape": 1.5, "scale": 25.0}),
+        ("empirical", {"values": [5.0, 10.0, 20.0, 7.5]}),
+    ],
+)
+def test_los_mean_is_the_integral_of_the_quantile(family, params):
+    # the mean is the integral of the quantile over (0, 1): the midpoint rule
+    dist = LosDistribution(family, params)
+    n = 10**5
+    midpoints = sum(dist.quantile((j + 0.5) / n) for j in range(n)) / n
+    assert dist.mean == pytest.approx(midpoints, rel=1e-3)
+    if "cv" in params:
+        assert dist.mean == pytest.approx(params["mean"], rel=1e-12)
+
+
+def test_los_mean_past_the_largest_float_is_inf():
+    assert LosDistribution("lognormal", {"mu": 0.0, "sigma": 40.0}).mean == math.inf
+    assert LosDistribution("weibull", {"shape": 0.001, "scale": 1.0}).mean == math.inf
+
+
 def test_quantile_monotone_in_u():
     for family, params in [
         ("exponential", {"mean": 30.0}),
