@@ -113,13 +113,12 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     tag the queue is FIFO.  Capacity changes are non-preemptive: when a
     shift boundary lowers the server count below the number of patients in
     service, the excess drains as services complete and nobody is dequeued
-    until busy falls below the new capacity.
+    until busy falls below the new capacity.  A P1 run with arrivals at one
+    ED only takes _run_alone, which does the same work in the same order.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
     plan = check_plan(plan, n, scenario.plan_bounds).tolist()
-    order = nearest_order(scenario.transfer)
-    tau = scenario.transfer.tolist()
     horizon, warmup = spec.horizon, spec.warmup
 
     thresholds = policy.p3_thresholds
@@ -129,9 +128,6 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
         )
     if thresholds is None or policy.id != "P3":
         thresholds = [math.inf] * n
-    busy = [0] * n
-    capacity = [row[0] for row in plan]
-    queues = [(deque(), deque()) for _ in range(n)]  # indexed by tag: yellow, red
 
     streams = RandomStreams(spec.seed)
     times, payloads, sources = _arrival_timeline(scenario, horizon, streams)
@@ -141,7 +137,6 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
     los = {i: _los_store(scenario, streams, i) for i in staffed}
     los_rows = {i: [[row for _, row in slots] for slots in los[i].cells] for i in staffed}
-    starts = [0] * n  # service starts so far, per ED
 
     if not (np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) >= 0.0)):
         raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
@@ -153,11 +148,23 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
 
     nva = [[[[] for _ in range(SLOTS_PER_DAY)] for _ in range(2)] for _ in range(n)]
     redirects_out = [0] * n
-    created = discharged = 0
     records = [] if record_patients else None
     triage = times.tolist()
-    serving, service_start, entry_slot = [0] * len(triage), [0.0] * len(triage), [0] * len(triage)
     triage.append(math.inf)  # ends the timeline; the horizon event comes first
+    if not routing_active and len(staffed) == 1:  # every replicate_alone run
+        ed = staffed[0]
+        counts = _run_alone(calendar, triage, payloads, ed, plan[ed], los[ed], los_rows[ed],
+                            warmup, horizon, nva[ed], records)
+        return _output(nva, redirects_out, records, *counts)
+
+    order = nearest_order(scenario.transfer)
+    tau = scenario.transfer.tolist()
+    busy = [0] * n
+    capacity = [row[0] for row in plan]
+    queues = [(deque(), deque()) for _ in range(n)]  # indexed by tag: yellow, red
+    starts = [0] * n  # service starts so far, per ED
+    serving, service_start, entry_slot = [0] * len(times), [0.0] * len(times), [0] * len(times)
+    created = discharged = 0
     next_arrival = triage[0]  # triage[created], kept in a local
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
@@ -263,24 +270,87 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             los_minutes = los[ed_idx].value(tag, entered, k)
         schedule(clock + los_minutes, SERVICE_COMPLETE, i)
 
-    in_system = created - discharged
     queued = sum(len(yellow) + len(red) for yellow, red in queues)
-    in_service = sum(busy)
-    in_transit = in_system - queued - in_service
-    if in_transit < 0:
+    return _output(nva, redirects_out, records, created, discharged, queued, sum(busy))
+
+
+def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, horizon,
+               nva, records):
+    """run_replication's loop for one ED working alone (P1); nva is its [tag][slot] table.
+
+    It keeps the ED's state in locals and no serving ED, as nobody is
+    redirected.  Returns (created, discharged, queued, in_service).
+    """
+    heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
+    service_start, entry_slot = [0.0] * len(payloads), [0] * len(payloads)
+    next_arrival, busy, capacity = triage[0], 0, plan_row[0]
+    queues = yellow, red = deque(), deque()
+    starts = created = discharged = slot = 0  # starts: service starts so far
+    while True:
+        if heap[0][0] > next_arrival:
+            i = created
+            created += 1
+            clock = calendar.clock = next_arrival
+            next_arrival = triage[created]
+            tag = payloads[i][1]
+            entry_slot[i] = entered = slot
+            if busy >= capacity:
+                queues[tag].append(i)
+                continue
+            busy += 1
+        else:
+            clock, _, kind, i = pop()
+            if kind == SERVICE_COMPLETE:
+                discharged += 1
+                t = triage[i]
+                if t >= warmup:
+                    tag, entered = payloads[i][1], entry_slot[i]
+                    nva[tag][entered].append(service_start[i] - t)
+                    if records is not None:
+                        records.append(Patient(tag, ed, ed, t, service_start[i], 0.0, 0, entered))
+                queue = red or yellow
+                if not queue or busy > capacity:
+                    busy -= 1
+                    continue
+                i = queue.popleft()
+                tag, entered = payloads[i][1], entry_slot[i]
+            elif kind == SLOT_BOUNDARY:
+                if clock + SLOT_MINUTES < horizon:
+                    schedule(clock + SLOT_MINUTES, SLOT_BOUNDARY)
+                slot = slot_of(clock)
+                capacity = plan_row[slot]
+                while busy < capacity and (red or yellow):
+                    j = (red or yellow).popleft()
+                    busy += 1
+                    service_start[j] = clock
+                    los_minutes = store.value(payloads[j][1], entry_slot[j], starts)
+                    starts += 1
+                    schedule(clock + los_minutes, SERVICE_COMPLETE, j)
+                continue
+            else:  # END_OF_HORIZON: a lone ED schedules nothing else
+                break
+        service_start[i] = clock
+        try:
+            los_minutes = rows[tag][entered][starts]
+        except IndexError:  # no value kept this far yet
+            los_minutes = math.nan
+        if los_minutes != los_minutes:
+            los_minutes = store.value(tag, entered, starts)
+        starts += 1
+        schedule(clock + los_minutes, SERVICE_COMPLETE, i)
+
+    return created, discharged, len(yellow) + len(red), busy
+
+
+def _output(nva, redirects_out, records, created, discharged, queued, in_service):
+    """A finished loop's ReplicationOutput, once its patients add up."""
+    in_system = created - discharged
+    if in_system - queued - in_service < 0:  # the rest are in transit
         raise SimulationLogicError(
             f"patient accounting broken: created={created} discharged={discharged} "
             f"queued={queued} in_service={in_service}"
         )
-
-    return ReplicationOutput(
-        nva=nva,
-        redirects_out=redirects_out,
-        created=created,
-        discharged=discharged,
-        in_system=in_system,
-        patients=records,
-    )
+    return ReplicationOutput(nva, redirects_out, created, discharged, in_system, records)
 
 
 def _arrival_timeline(scenario, horizon, streams):

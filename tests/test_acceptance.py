@@ -178,13 +178,18 @@ def test_solver_against_analytic_and_brute_force():
     )
 
 
+def _erlang_c(offered, servers):
+    """Probability that an arrival waits in an M/M/c queue under `offered` load."""
+    below = sum(offered**k / math.factorial(k) for k in range(servers))
+    tail = offered**servers / (math.factorial(servers) * (1.0 - offered / servers))
+    return tail / (below + tail)
+
+
 def test_queueing_core_against_erlang_c():
     arrival_rate, mean_los, servers = 0.1, 30.0, 4
     offered = arrival_rate * mean_los
     rho = offered / servers
-    below = sum(offered**k / math.factorial(k) for k in range(servers))
-    tail = offered**servers / (math.factorial(servers) * (1.0 - rho))
-    exact = (tail / (below + tail)) * mean_los / (servers * (1.0 - rho))
+    exact = _erlang_c(offered, servers) * mean_los / (servers * (1.0 - rho))
     assert exact == pytest.approx(15.28, abs=0.01)
 
     scenario = single_ed_scenario(rates_yellow=(arrival_rate,) * 3, los_mean=mean_los)
@@ -198,6 +203,34 @@ def test_queueing_core_against_erlang_c():
         rel <= 0.05,
         f"simulated {simulated:.3f} min vs exact {exact:.3f} min (rel {rel:.2%}, cap 5%)",
     )
+
+
+def test_priority_queue_against_the_nonpreemptive_closed_form():
+    # M/M/c with red served before yellow, neither preempting: class k waits
+    # W0 / ((1 - s_{k-1})(1 - s_k)), where W0 is the Erlang-C wait probability
+    # over c*mu and s_k the load of classes 1..k (Cobham 1954; Kella &
+    # Yechiali 1985)
+    red_rate, yellow_rate, mean_los, servers = 0.025, 0.075, 30.0, 4
+    offered = (red_rate + yellow_rate) * mean_los
+    rho = offered / servers
+    w0 = _erlang_c(offered, servers) * mean_los / servers
+    s_red = red_rate * mean_los / servers
+    exact = {RED: w0 / (1.0 - s_red), YELLOW: w0 / ((1.0 - s_red) * (1.0 - rho))}
+    assert (exact[RED], exact[YELLOW]) == pytest.approx((4.70, 18.81), abs=0.01)
+
+    scenario = single_ed_scenario(
+        rates_yellow=(yellow_rate,) * 3, rates_red=(red_rate,) * 3, los_mean=mean_los
+    )
+    base = ReplicationSpec(horizon=2_010_000.0, warmup=10_000.0, seed=0)
+    summary = saa_evaluate(with_replication(scenario, base), [[servers] * 3], "P1", replications=3)
+    for tag, name in ((RED, "red"), (YELLOW, "yellow")):
+        simulated = float(summary.mean_nva[0, tag])
+        rel = abs(simulated - exact[tag]) / exact[tag]
+        _criterion(
+            f"non-preemptive priority M/M/c wait of {name} patients",
+            rel <= 0.05,
+            f"simulated {simulated:.3f} min vs exact {exact[tag]:.3f} min (rel {rel:.2%}, cap 5%)",
+        )
 
 
 def _random_network_dict(seed):

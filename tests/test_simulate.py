@@ -431,6 +431,68 @@ def test_planted_timelines_keep_the_event_order(case):
             assert p.t_service_start in completions | raises
 
 
+def run_both_loops(make, plan):
+    """(P1, P2) outputs of one ED with arrivals, each on a fresh (scenario, spec) from make().
+
+    P1 takes the lone-ED loop and P2 the network loop, which asks the policy
+    at a full ED but never diverts from an ED with no neighbour.
+    """
+    outputs = []
+    with mock.patch.object(simulate, "_run_alone", wraps=simulate._run_alone) as alone:
+        for policy in ("P1", "P2"):
+            sc, spec = make()
+            outputs.append(run_replication(sc, plan, policy, spec, record_patients=True))
+            assert alone.call_count == 1
+    return outputs
+
+
+LOS_FAMILIES = st.sampled_from([
+    {"family": "exponential", "mean": 40.0},
+    {"family": "lognormal", "mean": 45.0, "cv": 0.8},
+    {"family": "weibull", "shape": 1.5, "scale": 50.0},
+    {"family": "empirical", "values": [15.0, 40.0, 70.0]},
+])
+
+
+@st.composite
+def lone_ed_cases(draw):
+    """(scenario data, plan row, spec) of one ED over 2-5 days.
+
+    The red slot rates may all be zero, the row may drop capacity at a
+    boundary, and a tag's visit times may differ by slot.
+    """
+    rates = st.lists(st.sampled_from([0.0, 0.02, 0.06, 0.12]), min_size=3, max_size=3)
+    los = st.one_of(LOS_FAMILIES, st.lists(LOS_FAMILIES, min_size=3, max_size=3))
+    ed = {
+        "name": "A",
+        "arrivals": {"yellow": {"rates": draw(rates.filter(any))}, "red": {"rates": draw(rates)}},
+        "los": {"yellow": draw(los), "red": draw(los)},
+    }
+    row = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    spec = ReplicationSpec(
+        horizon=draw(st.integers(2, 5)) * 1440.0,
+        warmup=draw(st.sampled_from([0.0, 480.0])),
+        seed=draw(st.integers(0, 99)),
+    )
+    return {"eds": [ed], "plan_bounds": [1, 4]}, row, spec
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lone_ed_cases())
+def test_lone_ed_loop_matches_the_network_loop(case):
+    data, row, spec = case
+    alone, network = run_both_loops(lambda: (scenario_from_dict(data), spec), np.array([row]))
+    assert alone == network
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(planted_days().filter(lambda case: case[0]))
+def test_lone_ed_loop_keeps_the_network_loop_ties(case):
+    arrivals, capacities = case
+    alone, network = run_both_loops(lambda: planted_ed(arrivals), np.array([capacities]))
+    assert alone == network
+
+
 def test_self_redirect_is_a_logic_error():
     sc = asymmetric_pair_scenario()
     plan = np.array([[1, 1, 1], [4, 4, 4]])
