@@ -190,8 +190,9 @@ class LosDistribution:
     - weibull:     shape/scale
     - empirical:   values (sampled uniformly)
 
-    Any other name, or both ways of giving one family's parameters, is a
-    ValueError.
+    Each family takes one complete spelling of LOS_PARAMS.  Every parameter
+    must be finite and positive, except a lognormal's mu, and empirical
+    values a non-empty list; anything else is a ValueError.
     """
 
     family: str
@@ -207,57 +208,29 @@ class LosDistribution:
         for key in self.params:
             if not any(key in names for names in spellings):
                 raise ValueError(f"{key}: unknown {self.family} LOS parameter; expected {expected}")
-        if sum(any(key in self.params for key in names) for names in spellings) > 1:
+        given = [names for names in spellings if any(key in self.params for key in names)]
+        if len(given) > 1:
             raise ValueError(f"{self.family} LOS takes {expected}, not both")
         p = {}
         for key, value in self.params.items():
-            if key == "values" and isinstance(value, (list, tuple)):
+            if key != "values":
+                p[key] = finite_number(value, key)
+            elif isinstance(value, (list, tuple)) and value:
                 p[key] = [finite_number(v, f"{key}[{k}]") for k, v in enumerate(value)]
             else:
-                p[key] = finite_number(value, key)
-        if self.family == "exponential":
-            mean = p.get("mean")
-            if mean is None or mean <= 0:
-                raise ValueError(f"exponential LOS needs a positive mean, got {p}")
-            p = {"mean": mean}
+                raise ValueError(f"{key}: expected a non-empty list, got {value!r}")
+        if not given or len(p) < len(given[0]):
+            raise ValueError(f"{self.family} LOS needs {expected}, got {p}")
+        if any(min(v) <= 0 if key == "values" else v <= 0 for key, v in p.items() if key != "mu"):
+            raise ValueError(f"{self.family} LOS parameters but mu must be positive, got {p}")
+        cv = p.get("cv")
+        if cv is None:
+            p = {key: p[key] for key in given[0]}
         elif self.family == "lognormal":
-            if "mean" in p and "cv" in p:
-                mean, cv = p["mean"], p["cv"]
-                if mean <= 0 or cv <= 0:
-                    raise ValueError(f"lognormal mean/cv must be positive, got {p}")
-                sigma2 = math.log(1.0 + cv * cv)
-                p = {"mu": math.log(mean) - sigma2 / 2.0, "sigma": math.sqrt(sigma2)}
-            elif "mu" in p and "sigma" in p:
-                if p["sigma"] <= 0:
-                    raise ValueError(f"lognormal sigma must be positive, got {p}")
-                p = {"mu": p["mu"], "sigma": p["sigma"]}
-            else:
-                raise ValueError(f"lognormal LOS needs mean/cv or mu/sigma, got {p}")
-        elif self.family == "gamma":
-            if "mean" in p and "cv" in p:
-                mean, cv = p["mean"], p["cv"]
-                if mean <= 0 or cv <= 0:
-                    raise ValueError(f"gamma mean/cv must be positive, got {p}")
-                p = {"shape": 1.0 / (cv * cv), "scale": mean * cv * cv}
-            elif "shape" in p and "scale" in p:
-                if p["shape"] <= 0 or p["scale"] <= 0:
-                    raise ValueError(f"gamma shape/scale must be positive, got {p}")
-                p = {"shape": p["shape"], "scale": p["scale"]}
-            else:
-                raise ValueError(f"gamma LOS needs mean/cv or shape/scale, got {p}")
-        elif self.family == "weibull":
-            if "shape" not in p or "scale" not in p:
-                raise ValueError(f"weibull LOS needs shape/scale, got {p}")
-            if p["shape"] <= 0 or p["scale"] <= 0:
-                raise ValueError(f"weibull shape/scale must be positive, got {p}")
-            p = {"shape": p["shape"], "scale": p["scale"]}
-        else:  # empirical
-            values = p.get("values")
-            if not isinstance(values, list) or not values:
-                raise ValueError("empirical LOS needs a non-empty list of values")
-            if any(v <= 0 for v in values):
-                raise ValueError("empirical LOS values must be positive")
-            p = {"values": values}
+            sigma2 = math.log(1.0 + cv * cv)
+            p = {"mu": math.log(p["mean"]) - sigma2 / 2.0, "sigma": math.sqrt(sigma2)}
+        else:  # gamma
+            p = {"shape": 1.0 / (cv * cv), "scale": p["mean"] * cv * cv}
         self.params = p
         if self.family == "gamma":
             # scipy takes about 0.25 s to import, so only gamma visit times load it

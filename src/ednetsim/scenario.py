@@ -22,7 +22,7 @@ from .distributions import (
     rate_from_annual_count,
 )
 from .engine import ReplicationSpec
-from .network import RED, TAG_NAMES, YELLOW, PolicySpec, validate_transfer_matrix
+from .network import TAG_NAMES, PolicySpec, validate_transfer_matrix
 from .objective import ObjectiveSpec
 
 
@@ -76,8 +76,7 @@ def _numbers(value, count, path, minimum=None, read=_number):
 def _arrival_process(node, path):
     if node is None:
         return None
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{path}: expected a mapping with 'counts' or 'rates'")
+    _known_keys(node, ("counts", "rates"), path)
     has_counts = "counts" in node
     has_rates = "rates" in node
     if has_counts == has_rates:
@@ -114,15 +113,21 @@ def _los_slots(node, path):
 
 
 def _real_waits(node, path):
+    """The (slot, tag) table of observed mean waits."""
     _known_keys(node, TAG_NAMES, path)
-    waits = np.zeros((SLOTS_PER_DAY, 2))
-    waits[:, YELLOW] = _numbers(
-        _require(node, "yellow", path), SLOTS_PER_DAY, f"{path}.yellow", minimum=0.0
-    )
-    waits[:, RED] = _numbers(
-        _require(node, "red", path), SLOTS_PER_DAY, f"{path}.red", minimum=0.0
-    )
-    return waits
+    waits = [_numbers(_require(node, tag, path), SLOTS_PER_DAY, f"{path}.{tag}", minimum=0.0)
+             for tag in TAG_NAMES]
+    return np.array(waits).T
+
+
+def _duration(node, default, **units):
+    """In minutes, the one duration of `units` (key=minutes per unit) that node gives."""
+    given = [key for key in units if key in node]
+    if len(given) > 1:
+        raise ScenarioError(f"replication: give {' or '.join(given)}, not both")
+    if not given:
+        return default
+    return _number(node[given[0]], f"replication.{given[0]}", 0.0) * units[given[0]]
 
 
 @dataclass
@@ -184,21 +189,15 @@ def scenario_from_dict(data, name="inline"):
 
         arr_node = ed.get("arrivals") or {}
         _known_keys(arr_node, TAG_NAMES, f"{path}.arrivals", kind="tag")
-        arrivals.append(
-            (
-                _arrival_process(arr_node.get("yellow"), f"{path}.arrivals.yellow"),
-                _arrival_process(arr_node.get("red"), f"{path}.arrivals.red"),
-            )
-        )
-
+        arrivals.append(tuple(
+            _arrival_process(arr_node.get(tag), f"{path}.arrivals.{tag}") for tag in TAG_NAMES
+        ))
         los_node = _require(ed, "los", path)
         _known_keys(los_node, TAG_NAMES, f"{path}.los", kind="tag")
-        los.append(
-            (
-                _los_slots(_require(los_node, "yellow", f"{path}.los"), f"{path}.los.yellow"),
-                _los_slots(_require(los_node, "red", f"{path}.los"), f"{path}.los.red"),
-            )
-        )
+        los.append(tuple(
+            _los_slots(_require(los_node, tag, f"{path}.los"), f"{path}.los.{tag}")
+            for tag in TAG_NAMES
+        ))
 
         real_rows.append(
             None
@@ -260,21 +259,9 @@ def scenario_from_dict(data, name="inline"):
         ("horizon_minutes", "horizon_days", "warmup_minutes", "warmup_hours", "seed"),
         "replication",
     )
-    if "horizon_minutes" in rep_node and "horizon_days" in rep_node:
-        raise ScenarioError("replication: give horizon_minutes or horizon_days, not both")
-    if "warmup_minutes" in rep_node and "warmup_hours" in rep_node:
-        raise ScenarioError("replication: give warmup_minutes or warmup_hours, not both")
     defaults = ReplicationSpec()
-    horizon = defaults.horizon
-    if "horizon_minutes" in rep_node:
-        horizon = _number(rep_node["horizon_minutes"], "replication.horizon_minutes", 0.0)
-    elif "horizon_days" in rep_node:
-        horizon = _number(rep_node["horizon_days"], "replication.horizon_days", 0.0) * 1440.0
-    warmup = defaults.warmup
-    if "warmup_minutes" in rep_node:
-        warmup = _number(rep_node["warmup_minutes"], "replication.warmup_minutes", 0.0)
-    elif "warmup_hours" in rep_node:
-        warmup = _number(rep_node["warmup_hours"], "replication.warmup_hours", 0.0) * 60.0
+    horizon = _duration(rep_node, defaults.horizon, horizon_minutes=1.0, horizon_days=1440.0)
+    warmup = _duration(rep_node, defaults.warmup, warmup_minutes=1.0, warmup_hours=60.0)
     seed = defaults.seed
     if "seed" in rep_node:
         seed = _integer(rep_node["seed"], "replication.seed", minimum=0)

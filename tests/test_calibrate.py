@@ -2,13 +2,21 @@
 
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ednetsim import ReplicationSpec, calibrate_ed, calibrate_network, l1_error, saa_evaluate
+from ednetsim import (
+    ReplicationSpec,
+    calibrate_ed,
+    calibrate_network,
+    l1_error,
+    parse_scenario,
+    saa_evaluate,
+)
 from ednetsim.calibrate import simulated_waits
 from ednetsim.simulate import replicate
 
@@ -296,3 +304,12 @@ def test_p1_evaluation_reuses_the_calibration_runs(monkeypatch):
         monkeypatch.undo()
         assert not any(scenario is solo for scenario in ran)
         assert len(ran) == 2 * replications  # the other two EDs only
+
+
+def test_calibration_demo_header_recipe_reproduces_real_waits():
+    # the recipe in the file's header comment, bit for bit: a change that moves
+    # these waits (random streams, event loop) must regenerate the file's tables
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "calibration_demo.yaml"
+    sc = parse_scenario(path)
+    for ed, plan in enumerate([(4, 5, 3), (3, 4, 2)]):
+        assert np.array_equal(simulated_waits(sc, plan, 10, ed), sc.real_waits[ed])

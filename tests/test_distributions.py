@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ednetsim
 from ednetsim.distributions import (
+    LOS_PARAMS,
     SLOT_MINUTES,
     SLOTS_PER_DAY,
     UNIFORM_BLOCK,
@@ -282,6 +285,70 @@ def test_los_validation_errors():
         LosDistribution("lognormal", {"mean": 30.0, "cv": 0.5, "mu": 3.0, "sigma": 0.5})
     with pytest.raises(ValueError, match="takes mean/cv or shape/scale, not both"):
         LosDistribution("gamma", {"mean": 30.0, "cv": 0.5, "shape": 4.0})
+
+
+PARAM_NAMES = sorted({key for spellings in LOS_PARAMS.values() for key in sum(spellings, ())})
+# visit times in minutes and coefficients of variation; a mean/cv pair far
+# outside this range (cv beyond about 1e+-150) gives non-finite or zero
+# canonical parameters, which the rule below does not reject
+_positive = st.floats(1e-6, 1e6)
+_number = st.one_of(
+    _positive,
+    _positive,
+    _positive,
+    _positive.map(lambda x: -x),
+    st.sampled_from([0, 0.0, -0.0, 7, math.inf, -math.inf, math.nan, 10**400, -(10**400)]),
+)
+_value = st.one_of(_number, _number, _number, st.sampled_from(["30", True, None]), st.lists(_number))
+
+
+@st.composite
+def _los_dicts(draw):
+    """A family and a parameter dict: mostly one full spelling, else part of it; maybe one more name."""
+    family = draw(st.sampled_from(sorted(LOS_PARAMS)))
+    spelling = draw(st.sampled_from(LOS_PARAMS[family]))
+    keys = set(spelling) if draw(st.integers(0, 3)) else draw(st.sets(st.sampled_from(spelling)))
+    if not draw(st.integers(0, 3)):
+        keys.add(draw(st.sampled_from(PARAM_NAMES)))
+    values = st.one_of(st.lists(_number, max_size=3), st.lists(_positive, min_size=1), _value)
+    return family, {key: draw(values if key == "values" else _value) for key in sorted(keys)}
+
+
+def _is_valid(key, value):
+    """The rule for one parameter: finite and positive (any finite mu), values a non-empty list."""
+    if key == "values" and not (isinstance(value, list) and value):
+        return False
+    return all(
+        not isinstance(v, bool)
+        and isinstance(v, (int, float))
+        and -sys.float_info.max <= v <= sys.float_info.max
+        and (key == "mu" or v > 0)
+        for v in (value if key == "values" else [value])
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_los_dicts())
+def test_los_parameter_rule(case):
+    family, params = case
+    complete = any(set(params) == set(names) for names in LOS_PARAMS[family])
+    if not (complete and all(_is_valid(key, value) for key, value in params.items())):
+        with pytest.raises(ValueError):
+            LosDistribution(family, params)
+        return
+    dist = LosDistribution(family, params)
+    if "cv" not in params:
+        assert dist.params == {key: float(value) if key != "values" else [float(v) for v in value]
+                               for key, value in params.items()}
+        return
+    # the closed forms, as the bundled scenarios' CSVs were made with them
+    mean, cv = params["mean"], params["cv"]
+    if family == "lognormal":
+        sigma2 = math.log(1.0 + cv * cv)
+        assert dist.params == {"mu": math.log(mean) - sigma2 / 2.0, "sigma": math.sqrt(sigma2)}
+    else:
+        assert dist.params == {"shape": 1.0 / (cv * cv), "scale": mean * cv * cv}
+    assert dist.mean == pytest.approx(mean, rel=1e-9)
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):

@@ -1,7 +1,11 @@
 """Scenario-file parsing and validation tests."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from ednetsim import ScenarioError, parse_scenario, scenario_from_dict
 from ednetsim.network import RED, YELLOW
@@ -294,6 +298,7 @@ def _with_key(data, where, key):
             "meen",
             r"^eds\[0\]\.los\.yellow: meen: unknown exponential LOS parameter",
         ),
+        (("eds", 0, "arrivals", "yellow"), "rate", r"^eds\[0\]\.arrivals\.yellow\.rate: unknown key"),
     ],
 )
 def test_unknown_keys_rejected(where, key, path):
@@ -324,6 +329,16 @@ def test_parse_scenario_file(tmp_path):
     sc = parse_scenario(path)
     assert sc.name == "mini"
     assert sc.n_eds == 1
+
+
+def test_readme_scenario_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        data = yaml.safe_load(block)
+        sc = scenario_from_dict(data)
+        assert sc.n_eds == len(data["eds"])
 
 
 def test_parse_scenario_errors(tmp_path):
