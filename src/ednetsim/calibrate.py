@@ -19,7 +19,6 @@ from itertools import product
 import numpy as np
 
 from .distributions import SLOTS_PER_DAY
-from .network import PolicySpec
 from .simulate import replicate_alone
 
 
@@ -53,7 +52,7 @@ def simulated_waits(scenario, capacities, replications, ed, bound=None):
     plan = np.tile(capacities, (scenario.n_eds, 1))
     total = np.zeros((SLOTS_PER_DAY, 2))
     for k in range(1, replications + 1):
-        total = total + replicate_alone(scenario, plan, PolicySpec("P1"), k, ed)[1][-1]
+        total = total + replicate_alone(scenario, plan, k, ed)[1][-1]
         if bound is not None and np.maximum(total / replications - bound[0], 0.0).sum() > bound[1]:
             return None
     return total / replications

@@ -226,11 +226,16 @@ class LosDistribution:
         cv = p.get("cv")
         if cv is None:
             p = {key: p[key] for key in given[0]}
-        elif self.family == "lognormal":
-            sigma2 = math.log(1.0 + cv * cv)
-            p = {"mu": math.log(p["mean"]) - sigma2 / 2.0, "sigma": math.sqrt(sigma2)}
-        else:  # gamma
-            p = {"shape": 1.0 / (cv * cv), "scale": p["mean"] * cv * cv}
+        else:
+            if self.family == "lognormal":
+                sigma2 = math.log(1.0 + cv * cv)
+                p = {"mu": math.log(p["mean"]) - sigma2 / 2.0, "sigma": math.sqrt(sigma2)}
+            else:  # gamma; cv * cv may round to 0
+                cv2 = cv * cv
+                p = {"shape": 1.0 / cv2 if cv2 else math.inf, "scale": p["mean"] * cv * cv}
+            # a cv near 0 or past the float range rounds to a degenerate distribution
+            if not all(math.isfinite(v) and (v > 0.0 or key == "mu") for key, v in p.items()):
+                raise ValueError(f"{self.family} LOS mean/cv give degenerate parameters {p}")
         self.params = p
         if self.family == "gamma":
             # scipy takes about 0.25 s to import, so only gamma visit times load it

@@ -6,6 +6,7 @@ clock, and a family of independent random substreams derived from a
 single replication seed.
 """
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -67,9 +68,12 @@ class ReplicationSpec:
     seed: int = 1
 
     def __post_init__(self):
-        if not self.warmup < self.horizon:
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon ({self.horizon}) must be finite and above 0")
+        if not 0.0 <= self.warmup < self.horizon:
             raise ValueError(
-                f"warmup ({self.warmup}) must be shorter than horizon ({self.horizon})"
+                f"warmup ({self.warmup}) must be at least 0 and shorter than horizon "
+                f"({self.horizon})"
             )
 
 
@@ -79,18 +83,13 @@ class RandomStreams:
     Each substream is a PCG64 generator seeded from a SeedSequence over
     (replication seed, ED index, purpose code), so a stream's draw
     sequence depends only on the seed and its identifier, never on the
-    order in which other streams are created or consumed.
+    order in which other streams are created or consumed.  Each call makes
+    a new generator at the start of its stream; the simulator asks for each
+    stream once per seed and keeps what it draws.
     """
 
     def __init__(self, seed):
         self.seed = int(seed)
-        self._streams = {}
 
     def get(self, ed, purpose):
-        key = (ed, purpose)
-        gen = self._streams.get(key)
-        if gen is None:
-            code = _PURPOSE_CODES[purpose]
-            gen = Generator(PCG64(SeedSequence([self.seed, ed, code])))
-            self._streams[key] = gen
-        return gen
+        return Generator(PCG64(SeedSequence([self.seed, ed, _PURPOSE_CODES[purpose]])))

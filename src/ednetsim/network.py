@@ -69,7 +69,7 @@ class Patient(NamedTuple):
 
 
 def validate_transfer_matrix(tau):
-    """Ambulance transport times: square, zero diagonal, positive elsewhere."""
+    """Ambulance transport times: square, zero diagonal, finite and positive elsewhere."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
         raise ValueError(f"transfer matrix must be square, got shape {tau.shape}")
@@ -78,9 +78,9 @@ def validate_transfer_matrix(tau):
         if tau[i, i] != 0.0:
             raise ValueError(f"transfer matrix diagonal must be zero, got tau[{i}][{i}]={tau[i, i]:g}")
         for j in range(n):
-            if i != j and tau[i, j] <= 0.0:
+            if i != j and not 0.0 < tau[i, j] < np.inf:
                 raise ValueError(
-                    f"transfer time tau[{i}][{j}]={tau[i, j]:g} must be positive"
+                    f"transfer time tau[{i}][{j}]={tau[i, j]:g} must be finite and positive"
                 )
     return tau
 

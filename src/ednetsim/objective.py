@@ -91,7 +91,7 @@ def saa_evaluate(scenario, plan, policy, replications):
     # replicate rejects a bad replication count before anything is sized by it
     if policy.id == "P1":
         rep_means = np.stack(
-            [replicate_alone(scenario, plan, policy, replications, i)[0] for i in range(n)],
+            [replicate_alone(scenario, plan, replications, i)[0] for i in range(n)],
             axis=1,
         )
         redirects = np.zeros((replications, n))  # nobody is redirected under P1

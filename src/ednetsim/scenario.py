@@ -145,15 +145,13 @@ class Scenario:
     plan_bounds: tuple
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
-    # simulate's arrival timelines by (horizon, seed), read-only, its
-    # LosStore by (seed, ED), and replicate_alone's runs by ED (the ED's solo
-    # copy, and by plan row its per-replication results, replication k at
-    # index k, which a call for more replications extends).  Calibration's
-    # stopping bound needs every kept wait cell >= 0, censored waits included.
-    # Every copy starts with empty caches, except that a solo copy shares its
-    # parent's los_values: it would make the same stores
+    # simulate's kept inputs by (horizon, seed): the arrival timeline, read-only,
+    # and a dict of each staffed ED's LosStore by ED index; and replicate_alone's
+    # runs by ED (the ED's solo copy, and by plan row its per-replication
+    # results, replication k at index k, which a call for more replications
+    # extends).  Calibration's stopping bound needs every kept wait cell >= 0,
+    # censored waits included.  Every copy starts with empty caches
     timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    los_values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     solo_runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -187,7 +185,7 @@ def scenario_from_dict(data, name="inline"):
             raise ScenarioError(f"{path}.name: {ed_name!r} is already the name of {taken}")
         ed_names.append(ed_name)
 
-        arr_node = ed.get("arrivals") or {}
+        arr_node = {} if ed.get("arrivals") is None else ed["arrivals"]
         _known_keys(arr_node, TAG_NAMES, f"{path}.arrivals", kind="tag")
         arrivals.append(tuple(
             _arrival_process(arr_node.get(tag), f"{path}.arrivals.{tag}") for tag in TAG_NAMES
@@ -218,7 +216,7 @@ def scenario_from_dict(data, name="inline"):
     except ValueError as exc:
         raise ScenarioError(f"transfer_minutes: {exc}") from None
 
-    pol_node = data.get("policy") or {"id": "P1"}
+    pol_node = {"id": "P1"} if data.get("policy") is None else data["policy"]
     if isinstance(pol_node, str):
         pol_node = {"id": pol_node}
     if not isinstance(pol_node, dict) or "id" not in pol_node:
@@ -235,7 +233,7 @@ def scenario_from_dict(data, name="inline"):
     except ValueError as exc:
         raise ScenarioError(f"policy.id: {exc}") from None
 
-    obj_node = data.get("objective") or {}
+    obj_node = {} if data.get("objective") is None else data["objective"]
     _known_keys(obj_node, ("weights", "nva_limits"), "objective")
     try:
         objective_spec = ObjectiveSpec(
@@ -253,7 +251,7 @@ def scenario_from_dict(data, name="inline"):
     except ValueError as exc:
         raise ScenarioError(f"objective: {exc}") from None
 
-    rep_node = data.get("replication") or {}
+    rep_node = {} if data.get("replication") is None else data["replication"]
     _known_keys(
         rep_node,
         ("horizon_minutes", "horizon_days", "warmup_minutes", "warmup_hours", "seed"),

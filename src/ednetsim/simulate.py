@@ -130,12 +130,17 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
         thresholds = [math.inf] * n
 
     streams = RandomStreams(spec.seed)
-    times, payloads, sources = _arrival_timeline(scenario, horizon, streams)
+    times, payloads, sources, los = _arrival_timeline(scenario, horizon, streams)
     # Under P1 a patient only boards at the ED they arrive at, so EDs that
     # have no arrivals stay empty: they need no LOS stream and no staffing.
     routing_active = policy.id != "P1"
     staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
-    los = {i: _los_store(scenario, streams, i) for i in staffed}
+    # LOS values depend on the ED's distributions, the seed and the index of
+    # the service start alone, so the store that the first replication on
+    # this timeline makes for an ED serves every later plan
+    for i in staffed:
+        if i not in los:
+            los[i] = LosStore(streams.get(i, "los"), scenario.los[i])
     los_rows = {i: [[row for _, row in slots] for slots in los[i].cells] for i in staffed}
 
     if not (np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) >= 0.0)):
@@ -354,7 +359,7 @@ def _output(nva, redirects_out, records, created, discharged, queued, in_service
 
 
 def _arrival_timeline(scenario, horizon, streams):
-    """Every arrival as (times, payloads, sources), sorted by time.
+    """Every arrival as (times, payloads, sources), sorted by time, and its LOS stores.
 
     The (ED, tag) streams are generated in ED then tag order and merged by
     a stable sort, so simultaneous arrivals keep that order.  A payload is
@@ -362,6 +367,8 @@ def _arrival_timeline(scenario, horizon, streams):
     The arrivals depend on the scenario, horizon and seed alone, so they
     are drawn once per (horizon, seed) and kept, read-only, on
     scenario.timelines; a kept timeline leaves the arrival streams unused.
+    The fourth item, kept with it, is the dict of LosStore by ED index that
+    run_replication fills.
     """
     kept = scenario.timelines
     if (horizon, streams.seed) in kept:
@@ -381,23 +388,9 @@ def _arrival_timeline(scenario, horizon, streams):
     order = np.argsort(times, kind="stable")
     times = times[order]
     times.flags.writeable = False
-    timeline = times, tuple(keys[k] for k in source[order].tolist()), tuple(keys)
+    timeline = times, tuple(keys[k] for k in source[order].tolist()), tuple(keys), {}
     kept[horizon, streams.seed] = timeline
     return timeline
-
-
-def _los_store(scenario, streams, ed):
-    """The ED's LosStore for the replication seed, kept on scenario.los_values.
-
-    LOS values depend on the ED's distributions, the seed and the index of
-    the service start alone, so the store made for the first replication
-    on a seed serves every later plan; its stream is made once.
-    """
-    key = streams.seed, ed
-    store = scenario.los_values.get(key)
-    if store is None:
-        store = scenario.los_values[key] = LosStore(streams.get(ed, "los"), scenario.los[ed])
-    return store
 
 
 def replicate(scenario, plan, policy, replications, first=0):
@@ -418,7 +411,7 @@ def replicate(scenario, plan, policy, replications, first=0):
     )
 
 
-def replicate_alone(scenario, plan, policy, replications, ed):
+def replicate_alone(scenario, plan, replications, ed):
     """One ED's first `replications` results when it works alone (P1): (means, waits).
 
     means lists the ED's pooled mean NVA by tag, (yellow, red), per
@@ -426,8 +419,7 @@ def replicate_alone(scenario, plan, policy, replications, ed):
     on its solo copy of the scenario, which holds that ED's arrivals alone,
     so only plan[ed] is staffed.  Streams stay keyed by the ED's own index,
     so the runs are bit-identical to that ED's share of a whole-network P1
-    run.  The copy shares the scenario's LOS values, which depend on the
-    seed and the ED alone, and keeps its own arrival timelines for every
+    run.  The copy keeps its own arrival timelines and LOS values for every
     row of the ED.  Replication k runs on the same seed whatever the count,
     so scenario.solo_runs keeps one growing list of results per plan row: a
     call simulates only the replications that list does not hold yet.
@@ -439,12 +431,11 @@ def replicate_alone(scenario, plan, policy, replications, ed):
             scenario,
             arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
         )
-        solo.los_values = scenario.los_values
         scenario.solo_runs[ed] = solo, {}
     solo, runs = scenario.solo_runs[ed]
     means, waits = runs.setdefault(tuple(plan[ed].tolist()), ([], []))
     # replicate rejects a bad replication count before anything runs
-    for out in replicate(solo, plan, policy, replications, first=len(means)):
+    for out in replicate(solo, plan, "P1", replications, first=len(means)):
         means.append((out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED)))
         waits.append(out.slot_tag_waits(ed))
     return means[:replications], waits[:replications]

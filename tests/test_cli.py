@@ -439,6 +439,7 @@ def test_non_finite_scenario_number_fails(tmp_path, capsys):
         ("mean: 60}", "mean: .inf}", "eds[0].los.yellow"),
         ("exponential, mean: 60}", "lognormal, mean: 60, cv: .nan}", "eds[0].los.yellow"),
         ("[0, 12]", "[0, .inf]", "transfer_minutes[0][1]"),
+        ("exponential, mean: 60}", "gamma, mean: 60, cv: 1.0e-200}", "eds[0].los.yellow"),
     ],
 )
 def test_bad_scenario_value_fails_with_key_path(tmp_path, capsys, old, new, path):

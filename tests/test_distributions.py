@@ -290,7 +290,7 @@ def test_los_validation_errors():
 PARAM_NAMES = sorted({key for spellings in LOS_PARAMS.values() for key in sum(spellings, ())})
 # visit times in minutes and coefficients of variation; a mean/cv pair far
 # outside this range (cv beyond about 1e+-150) gives non-finite or zero
-# canonical parameters, which the rule below does not reject
+# canonical parameters, which test_degenerate_mean_cv_rejected covers
 _positive = st.floats(1e-6, 1e6)
 _number = st.one_of(
     _positive,
@@ -349,6 +349,19 @@ def test_los_parameter_rule(case):
     else:
         assert dist.params == {"shape": 1.0 / (cv * cv), "scale": mean * cv * cv}
     assert dist.mean == pytest.approx(mean, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family, cv",
+    [("gamma", 1e-200), ("gamma", 1e-160), ("gamma", 1e200), ("lognormal", 1e-200),
+     ("lognormal", 1e200)],
+)
+def test_degenerate_mean_cv_rejected(family, cv):
+    # cv * cv rounds to 0, to a subnormal or to inf, so the closed forms give
+    # a zero, infinite or NaN parameter: a ValueError, which a scenario file
+    # reports with its key path
+    with pytest.raises(ValueError, match=f"^{family} LOS mean/cv give degenerate parameters"):
+        LosDistribution(family, {"mean": 1.0, "cv": cv})
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):

@@ -5,6 +5,8 @@ arrival timeline into it, so the merge is tested through the loop on
 planted timelines, here and in test_simulate.py.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,22 @@ def test_replication_spec_validates_warmup():
         ReplicationSpec(horizon=100.0, warmup=100.0)
     with pytest.raises(ValueError):
         ReplicationSpec(horizon=100.0, warmup=200.0)
+
+
+@pytest.mark.parametrize(
+    "horizon, warmup, message",
+    [
+        (-10.0, -20.0, "^horizon"),
+        (0.0, -1.0, "^horizon"),
+        (math.inf, 0.0, "^horizon"),
+        (math.nan, 0.0, "^horizon"),
+        (100.0, -1.0, "^warmup"),
+    ],
+)
+def test_replication_spec_rejects_what_the_loop_cannot_run(horizon, warmup, message):
+    # the event loop needs a finite horizon above 0 and a warm-up inside it
+    with pytest.raises(ValueError, match=message):
+        ReplicationSpec(horizon=horizon, warmup=warmup)
 
 
 def test_streams_are_reproducible():

@@ -37,6 +37,12 @@ def test_transfer_matrix_validation():
         validate_transfer_matrix([[0.0, 0.0], [7.0, 0.0]])  # zero off-diagonal
 
 
+@pytest.mark.parametrize("minutes", [math.nan, math.inf])
+def test_transfer_matrix_rejects_non_finite_times(minutes):
+    with pytest.raises(ValueError, match=r"tau\[1\]\[0\]=(nan|inf) must be finite"):
+        validate_transfer_matrix([[0.0, 5.0], [minutes, 0.0]])
+
+
 def test_nearest_order():
     tau = [[0.0, 30.0, 10.0], [30.0, 0.0, 20.0], [10.0, 20.0, 0.0]]
     assert nearest_order(tau) == [[2, 1], [2, 0], [0, 1]]

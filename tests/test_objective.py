@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ednetsim import (
     ObjectiveSpec,
+    RandomStreams,
     ReplicationSpec,
     constraint_violations,
     make_allocation_problem,
@@ -18,7 +19,6 @@ from ednetsim import (
     scenario_from_dict,
     simulate,
 )
-from ednetsim.distributions import ArrivalProcess
 from ednetsim.network import RED, YELLOW
 
 from util import asymmetric_pair_scenario, exp_los, single_ed_scenario, with_replication
@@ -289,19 +289,21 @@ def test_p1_runs_are_shared_by_every_evaluation_of_a_scenario():
     assert_same_estimate(evaluate.summaries[x], first)
 
 
-def test_p1_memo_draws_each_arrival_stream_once():
-    # every row of an ED runs on one solo copy of the scenario, which keeps
-    # that ED's arrival timelines for all of them
+@pytest.mark.parametrize("policy", ["P1", "P4"])
+def test_p1_memo_draws_each_arrival_stream_once(policy):
+    # each (seed, ED, purpose) stream is made once, and its arrivals and visit
+    # times are kept for every later plan: under P1 on the ED's solo copy of
+    # the scenario, which runs every row of that ED, else on the scenario
     sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
-    evaluate = make_allocation_problem(sc, "P1", replications=2)
-    drawn = []
-    original = ArrivalProcess.arrival_times
+    evaluate = make_allocation_problem(sc, policy, replications=2)
+    made = []
+    original = RandomStreams.get
 
-    def arrival_times(self, horizon, rng):
-        drawn.append(tuple(rng.bit_generator.seed_seq.entropy))  # (seed, ED, purpose)
-        return original(self, horizon, rng)
+    def get(self, ed, purpose):
+        made.append((self.seed, ed, purpose))
+        return original(self, ed, purpose)
 
-    with mock.patch.object(ArrivalProcess, "arrival_times", arrival_times):
+    with mock.patch.object(RandomStreams, "get", get):
         for x in [
             (2, 2, 2, 3, 3, 3, 2, 3, 2),
             (2, 2, 2, 4, 3, 3, 2, 3, 2),
@@ -309,8 +311,8 @@ def test_p1_memo_draws_each_arrival_stream_once():
             (3, 2, 2, 4, 3, 3, 1, 1, 1),
         ]:
             evaluate(x)
-    # three EDs, two tags with arrivals each, two replication seeds
-    assert len(drawn) == len(set(drawn)) == 3 * 2 * 2
+    # two replication seeds, three EDs, two arrival tags and visit times each
+    assert len(made) == len(set(made)) == 2 * 3 * 3
 
 
 @st.composite

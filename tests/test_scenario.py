@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ednetsim import ScenarioError, parse_scenario, scenario_from_dict
+from ednetsim import ObjectiveSpec, ScenarioError, parse_scenario, scenario_from_dict
 from ednetsim.network import RED, YELLOW
 
 
@@ -89,6 +89,12 @@ def test_unknown_tag_rejected():
     ed["arrivals"]["green"] = {"rates": [0.1, 0.1, 0.1]}
     with pytest.raises(ScenarioError, match="unknown tag"):
         scenario_from_dict({"eds": [ed]})
+    # only a missing or null mapping means "no arrivals"
+    ed["arrivals"] = None
+    assert scenario_from_dict({"eds": [ed]}).arrivals == [(None, None)]
+    ed["arrivals"] = []
+    with pytest.raises(ScenarioError, match=r"^eds\[0\]\.arrivals: expected a mapping, got list"):
+        scenario_from_dict({"eds": [ed]})
 
 
 def test_bad_los_family_names_key_path():
@@ -136,6 +142,12 @@ def test_policy_parsing():
     data["policy"] = {"id": "P2", "cascade": "no"}
     with pytest.raises(ScenarioError, match=r"policy\.cascade: expected true or false"):
         scenario_from_dict(data)
+    # only a missing or null policy means P1
+    data["policy"] = None
+    assert scenario_from_dict(data).policy.id == "P1"
+    data["policy"] = ""
+    with pytest.raises(ScenarioError, match=r"^policy\.id: unknown policy ''"):
+        scenario_from_dict(data)
 
 
 def test_objective_and_replication_blocks():
@@ -153,6 +165,12 @@ def test_objective_and_replication_blocks():
 
     data["replication"] = {"horizon_days": 10, "horizon_minutes": 100.0}
     with pytest.raises(ScenarioError, match="not both"):
+        scenario_from_dict(data)
+    # only a missing or null block means the defaults
+    data["objective"], data["replication"] = None, None
+    assert scenario_from_dict(data).objective_spec == ObjectiveSpec()
+    data["objective"] = 0
+    with pytest.raises(ScenarioError, match="^objective: expected a mapping, got int"):
         scenario_from_dict(data)
 
 
@@ -267,6 +285,7 @@ def test_transfer_entries_name_key_path(matrix, message):
         ({"horizon_minutes": float("nan")}, r"replication\.horizon_minutes: expected a finite"),
         ({"warmup_minutes": -5}, r"replication\.warmup_minutes: value -5 below minimum"),
         ({"warmup_hours": True}, r"replication\.warmup_hours: expected a number"),
+        (0, r"^replication: expected a mapping, got int"),
     ],
 )
 def test_replication_block_names_key_path(block, path):

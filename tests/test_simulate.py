@@ -746,7 +746,7 @@ def test_kept_timeline_survives_a_replication():
     sc = network_scenario(n=3, policy="P3")
     spec = short_spec(seed=8, days=4)
     first = run_replication(sc, plan_for(sc, 2), "P3", spec)
-    times, payloads, sources = sc.timelines[(spec.horizon, spec.seed)]
+    times, payloads, sources, _ = sc.timelines[(spec.horizon, spec.seed)]
     kept = (times.copy(), list(payloads), list(sources))
     assert not times.flags.writeable
     again = run_replication(sc, plan_for(sc, 2), "P3", spec)
@@ -769,11 +769,22 @@ def counting_los_samples():
     return calls, mock.patch.object(LosDistribution, "sample", sample)
 
 
+def los_stores(sc):
+    """Every LosStore kept on the scenario and its P1 solo copies, by (seed, ED)."""
+    copies = [sc, *(solo for solo, _ in sc.solo_runs.values())]
+    return {
+        (seed, ed): store
+        for copy in copies
+        for (_, seed), (*_, stores) in copy.timelines.items()
+        for ed, store in stores.items()
+    }
+
+
 def computed_los(sc):
-    """Every kept LOS value of the scenario, by (seed, ED, row, k)."""
+    """Every kept LOS value of the scenario and its P1 solo copies, by (seed, ED, row, k)."""
     return {
         (seed, ed, r, k): x
-        for (seed, ed), store in sc.los_values.items()
+        for (seed, ed), store in los_stores(sc).items()
         for r, row in enumerate(store.rows)
         for k, x in enumerate(row)
         if x == x
@@ -795,7 +806,7 @@ def test_one_shot_evaluation_computes_each_los_value_once(policy):
         saa_evaluate(sc, plan_for(sc, 1), policy, replications=3)
     assert len(calls) == {"P1": 1148, "P4": 1147}[policy]
     assert len(computed_los(sc)) == len(calls)
-    assert sorted(sc.los_values) == [(32 + k, ed) for k in range(3) for ed in range(3)]
+    assert sorted(los_stores(sc)) == [(32 + k, ed) for k in range(3) for ed in range(3)]
 
 
 def test_second_plan_computes_only_new_los_values():
@@ -819,11 +830,11 @@ def test_kept_los_values_survive_a_replication():
     sc = network_scenario(n=3, policy="P3")
     spec = short_spec(seed=8, days=4)
     run_replication(sc, plan_for(sc, 2), "P3", spec)
-    stores = dict(sc.los_values)
+    stores = los_stores(sc)
     uniforms = {key: store.uniforms.tobytes() for key, store in stores.items()}
     values = computed_los(sc)
     run_replication(sc, np.array([[1, 2, 1], [3, 1, 2], [1, 1, 4]]), "P3", spec)
-    assert sc.los_values == stores
+    assert los_stores(sc) == stores
     for key, store in stores.items():
         assert store.uniforms.tobytes()[: len(uniforms[key])] == uniforms[key]
     assert computed_los(sc).items() >= values.items()
@@ -833,10 +844,10 @@ def test_copies_start_with_no_los_values():
     sc = with_replication(network_scenario(n=2, policy="P2"), short_spec(seed=4, days=3))
     run_replication(sc, plan_for(sc, 2), "P2", short_spec(seed=4, days=3))
     saa_evaluate(sc, plan_for(sc, 2), "P1", replications=1)
-    assert sc.los_values and sc.solo_runs
+    assert sc.timelines and sc.solo_runs
     flags = argparse.Namespace(seed=11)
     for copy in (replace(sc), _with_flags(sc, flags), with_replication(sc, short_spec())):
-        assert copy.los_values == {}
+        assert copy.timelines == {}
         assert copy.solo_runs == {}
 
 
@@ -859,7 +870,7 @@ def test_per_slot_los_table_keeps_one_row_per_distinct_distribution():
         }
     )
     run_replication(sc, plan_for(sc, 2), "P1", short_spec(seed=3, days=3))
-    (store,) = sc.los_values.values()
+    (store,) = los_stores(sc).values()
     assert len(store.rows) == 2
     gamma, exponential = store.rows
     assert [[row for _, row in slots] for slots in store.cells] == [

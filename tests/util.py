@@ -125,7 +125,7 @@ def planted_network(arrivals, n=1, visit=30.0, horizon=1440.0):
     spec = ReplicationSpec(horizon=horizon, warmup=0.0, seed=1)
     payloads = tuple((ed, tag) for _, ed, tag in arrivals)
     times = np.array([t for t, _, _ in arrivals], dtype=float)
-    sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads)))
+    sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads))), {}
     return sc, spec
 
 
