@@ -72,8 +72,8 @@ def calibrate_ed(scenario, ed, real, replications):
     real = np.asarray(real, dtype=float)
     if real.shape != (SLOTS_PER_DAY, 2):
         raise ValueError(f"real wait table must be {SLOTS_PER_DAY}x2, got {real.shape}")
-    if (real < 0).any():
-        raise ValueError("real waits must be non-negative")
+    if not (np.isfinite(real) & (real >= 0)).all():
+        raise ValueError("real waits must be finite and non-negative")
     if not 0 <= ed < scenario.n_eds:
         raise ValueError(f"ED index {ed} out of range [0, {scenario.n_eds})")
     load = [0.0] * SLOTS_PER_DAY

@@ -16,8 +16,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 # Event kinds (ints for cheap dispatch in the event loop).
 SERVICE_COMPLETE = 1
 TRANSFER_COMPLETE = 2
-SLOT_BOUNDARY = 3
-END_OF_HORIZON = 4
+END_OF_HORIZON = 3
 
 # Purpose tags for random substreams, one code per purpose.
 STREAM_PURPOSES = ("arrival-yellow", "arrival-red", "los")
@@ -31,9 +30,8 @@ class SimulationLogicError(RuntimeError):
 class EventCalendar:
     """Future-event list: a heap of scheduled events and the clock.
 
-    Events are ordered by (time, seq): seq is 0 for a slot boundary and the
-    insertion number otherwise, so a tie goes to a slot boundary first, then
-    to the other events in insertion order, and payloads are never compared.
+    Events are ordered by (time, seq), seq being the insertion number, so
+    ties go in insertion order and payloads are never compared.
     `heap` is the heapq list itself: heap[0] is the next event, and callers
     only read it.  Every replication is thus a pure function of its inputs.
     """
@@ -50,7 +48,7 @@ class EventCalendar:
                 f"before current clock t={self.clock:g}"
             )
         self._seq += 1
-        heappush(self.heap, (time, 0 if kind == SLOT_BOUNDARY else self._seq, kind, payload))
+        heappush(self.heap, (time, self._seq, kind, payload))
 
     def pop(self):
         """Remove and return the next (time, seq, kind, payload); advances the clock."""
@@ -59,7 +57,7 @@ class EventCalendar:
         return ev
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplicationSpec:
     """Length, warm-up and seed of one simulation replication (minutes)."""
 

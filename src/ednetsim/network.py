@@ -24,7 +24,7 @@ def slot_of(t):
     return int(t // SLOT_MINUTES) % SLOTS_PER_DAY
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicySpec:
     """Diversion policy and its parameters.
 

@@ -130,7 +130,7 @@ def _duration(node, default, **units):
     return _number(node[given[0]], f"replication.{given[0]}", 0.0) * units[given[0]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Fully validated study inputs; see parse_scenario."""
 

@@ -16,7 +16,6 @@ import numpy as np
 from .engine import (
     END_OF_HORIZON,
     SERVICE_COMPLETE,
-    SLOT_BOUNDARY,
     TRANSFER_COMPLETE,
     EventCalendar,
     RandomStreams,
@@ -148,8 +147,6 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     calendar = EventCalendar()
     heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
     schedule(horizon, END_OF_HORIZON)
-    if SLOT_MINUTES < horizon:
-        schedule(SLOT_MINUTES, SLOT_BOUNDARY)
 
     nva = [[[[] for _ in range(SLOTS_PER_DAY)] for _ in range(2)] for _ in range(n)]
     redirects_out = [0] * n
@@ -171,14 +168,31 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     serving, service_start, entry_slot = [0] * len(times), [0.0] * len(times), [0] * len(times)
     created = discharged = 0
     next_arrival = triage[0]  # triage[created], kept in a local
+    boundary = SLOT_MINUTES if SLOT_MINUTES < horizon else math.inf  # the next slot's start
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
 
-    # Arrivals never enter the heap: patient `created` is the next one, and it
-    # goes first only when it comes strictly before the heap's next event.  A
-    # tie goes to a slot boundary, then other scheduled events in insertion
-    # order, then the arrival.  Each slot boundary schedules the next, so the
-    # heap holds the next one only, and END_OF_HORIZON keeps it from emptying.
+    # Neither arrivals nor slot boundaries enter the heap: the loop keeps the
+    # next of each in a local.  A tie goes to the slot boundary, then to
+    # scheduled events in insertion order, then to the arrival (patient
+    # `created`).  END_OF_HORIZON keeps the heap from emptying.
     while True:
+        if boundary <= next_arrival and boundary <= heap[0][0]:
+            clock = calendar.clock = boundary
+            boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
+            slot = slot_of(clock)
+            for e in staffed:
+                capacity[e] = plan[e][slot]
+                yellow, red = queues[e]
+                while busy[e] < capacity[e] and (red or yellow):
+                    j = (red or yellow).popleft()
+                    busy[e] += 1
+                    service_start[j] = clock
+                    k = starts[e]
+                    starts[e] = k + 1
+                    los_minutes = los[e].value(payloads[j][1], entry_slot[j], k)
+                    schedule(clock + los_minutes, SERVICE_COMPLETE, j)
+            continue
+
         if heap[0][0] > next_arrival:
             i = created
             created += 1
@@ -239,23 +253,6 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
                     continue
                 busy[ed_idx] += 1
 
-            elif kind == SLOT_BOUNDARY:
-                if clock + SLOT_MINUTES < horizon:
-                    schedule(clock + SLOT_MINUTES, SLOT_BOUNDARY)
-                slot = slot_of(clock)
-                for e in staffed:
-                    capacity[e] = plan[e][slot]
-                    yellow, red = queues[e]
-                    while busy[e] < capacity[e] and (red or yellow):
-                        j = (red or yellow).popleft()
-                        busy[e] += 1
-                        service_start[j] = clock
-                        k = starts[e]
-                        starts[e] = k + 1
-                        los_minutes = los[e].value(payloads[j][1], entry_slot[j], k)
-                        schedule(clock + los_minutes, SERVICE_COMPLETE, j)
-                continue
-
             elif kind == END_OF_HORIZON:
                 break
 
@@ -289,9 +286,24 @@ def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, ho
     heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
     service_start, entry_slot = [0.0] * len(payloads), [0] * len(payloads)
     next_arrival, busy, capacity = triage[0], 0, plan_row[0]
+    boundary = SLOT_MINUTES if SLOT_MINUTES < horizon else math.inf
     queues = yellow, red = deque(), deque()
     starts = created = discharged = slot = 0  # starts: service starts so far
     while True:
+        if boundary <= next_arrival and boundary <= heap[0][0]:
+            clock = calendar.clock = boundary
+            boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
+            slot = slot_of(clock)
+            capacity = plan_row[slot]
+            while busy < capacity and (red or yellow):
+                j = (red or yellow).popleft()
+                busy += 1
+                service_start[j] = clock
+                los_minutes = store.value(payloads[j][1], entry_slot[j], starts)
+                starts += 1
+                schedule(clock + los_minutes, SERVICE_COMPLETE, j)
+            continue
+
         if heap[0][0] > next_arrival:
             i = created
             created += 1
@@ -305,35 +317,21 @@ def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, ho
             busy += 1
         else:
             clock, _, kind, i = pop()
-            if kind == SERVICE_COMPLETE:
-                discharged += 1
-                t = triage[i]
-                if t >= warmup:
-                    tag, entered = payloads[i][1], entry_slot[i]
-                    nva[tag][entered].append(service_start[i] - t)
-                    if records is not None:
-                        records.append(Patient(tag, ed, ed, t, service_start[i], 0.0, 0, entered))
-                queue = red or yellow
-                if not queue or busy > capacity:
-                    busy -= 1
-                    continue
-                i = queue.popleft()
-                tag, entered = payloads[i][1], entry_slot[i]
-            elif kind == SLOT_BOUNDARY:
-                if clock + SLOT_MINUTES < horizon:
-                    schedule(clock + SLOT_MINUTES, SLOT_BOUNDARY)
-                slot = slot_of(clock)
-                capacity = plan_row[slot]
-                while busy < capacity and (red or yellow):
-                    j = (red or yellow).popleft()
-                    busy += 1
-                    service_start[j] = clock
-                    los_minutes = store.value(payloads[j][1], entry_slot[j], starts)
-                    starts += 1
-                    schedule(clock + los_minutes, SERVICE_COMPLETE, j)
-                continue
-            else:  # END_OF_HORIZON: a lone ED schedules nothing else
+            if kind == END_OF_HORIZON:  # a lone ED schedules completions only
                 break
+            discharged += 1
+            t = triage[i]
+            if t >= warmup:
+                tag, entered = payloads[i][1], entry_slot[i]
+                nva[tag][entered].append(service_start[i] - t)
+                if records is not None:
+                    records.append(Patient(tag, ed, ed, t, service_start[i], 0.0, 0, entered))
+            queue = red or yellow
+            if not queue or busy > capacity:
+                busy -= 1
+                continue
+            i = queue.popleft()
+            tag, entered = payloads[i][1], entry_slot[i]
         service_start[i] = clock
         try:
             los_minutes = rows[tag][entered][starts]

@@ -1,5 +1,6 @@
 """Calibration tests: L1 fit, exhaustive grid, self-recovery, exact stopping."""
 
+import math
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -221,8 +222,8 @@ def test_calibrate_network_recovers_every_ed():
         simulated_waits(sc, true_plan[i], replications=2, ed=i)
         for i in range(2)
     ]
-    sc.real_waits = np.stack(rows)
-    plan, errors = calibrate_network(replace(sc, plan_bounds=(2, 4)), replications=2)
+    sc = replace(sc, real_waits=np.stack(rows), plan_bounds=(2, 4))
+    plan, errors = calibrate_network(sc, replications=2)
     assert np.array_equal(plan, true_plan)
     assert np.allclose(errors, 0.0)
 
@@ -242,8 +243,9 @@ def test_calibrate_ed_input_validation(monkeypatch):
     single = _loaded_single_ed()
     with pytest.raises(ValueError):
         calibrate_ed(single, 0, np.zeros((2, 2)), replications=1)
-    with pytest.raises(ValueError):
-        calibrate_ed(single, 0, np.full((3, 2), -1.0), replications=1)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="real waits must be finite and non-negative"):
+            calibrate_ed(single, 0, np.full((3, 2), bad), replications=1)
     for replications in (0, -1):
         with pytest.raises(ValueError, match="at least one replication"):
             calibrate_ed(single, 0, np.zeros((3, 2)), replications=replications)

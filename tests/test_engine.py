@@ -12,7 +12,6 @@ import pytest
 
 from ednetsim.engine import (
     SERVICE_COMPLETE,
-    SLOT_BOUNDARY,
     EventCalendar,
     RandomStreams,
     ReplicationSpec,
@@ -46,19 +45,6 @@ def test_calendar_tie_break_ignores_payload():
     cal.schedule(1.0, SERVICE_COMPLETE, object())
     cal.pop()
     cal.pop()
-
-
-def test_calendar_pops_a_slot_boundary_before_its_ties():
-    # the boundary is scheduled last but goes first; the completions keep
-    # insertion order, and their unorderable payloads are never compared
-    cal = EventCalendar()
-    first, second = object(), object()
-    cal.schedule(480.0, SERVICE_COMPLETE, first)
-    cal.schedule(480.0, SERVICE_COMPLETE, second)
-    cal.schedule(480.0, SLOT_BOUNDARY)
-    popped = [cal.pop() for _ in range(3)]
-    assert [ev[2] for ev in popped] == [SLOT_BOUNDARY, SERVICE_COMPLETE, SERVICE_COMPLETE]
-    assert popped[1][3] is first and popped[2][3] is second
 
 
 def test_clock_advances_and_rejects_past_events():

@@ -1,6 +1,7 @@
 """Scenario-file parsing and validation tests."""
 
 import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,19 @@ def test_defaults():
     assert sc.real_waits is None
     assert sc.starting_plan is None
     assert sc.transfer.shape == (1, 1)
+
+
+def test_study_inputs_are_frozen():
+    # kept runs are keyed by what they were made from; an assigned setting
+    # would leave them standing under a scenario they no longer match
+    sc = scenario_from_dict(paper_dict())
+    with pytest.raises(FrozenInstanceError):
+        sc.replication = replace(sc.replication, seed=99)
+    with pytest.raises(FrozenInstanceError):
+        sc.replication.seed = 99
+    with pytest.raises(FrozenInstanceError):
+        sc.policy.id = "P4"
+    assert (sc.replication.seed, sc.policy.id) == (1, "P1")
 
 
 def test_real_waits_parsing_and_partial_error():

@@ -24,7 +24,13 @@ from ednetsim import simulate
 from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import _with_flags
 from ednetsim.distributions import SLOT_MINUTES, ArrivalProcess, LosDistribution
-from ednetsim.engine import SERVICE_COMPLETE, SLOT_BOUNDARY, EventCalendar, SimulationLogicError
+from ednetsim.engine import (
+    END_OF_HORIZON,
+    SERVICE_COMPLETE,
+    TRANSFER_COMPLETE,
+    EventCalendar,
+    SimulationLogicError,
+)
 from ednetsim.network import RED, YELLOW, PolicySpec, decide_routing
 
 from util import (
@@ -353,25 +359,38 @@ def test_slot_boundary_goes_before_a_completion_at_its_minute():
     assert (out.created, out.discharged) == (4, 3)
 
 
-def test_each_slot_boundary_is_scheduled_by_the_one_before():
-    # the first boundary is scheduled at clock 0 and each later one when the
-    # boundary before it pops, so the heap never holds two
-    scheduled = []
-    original = EventCalendar.schedule
+def test_each_loop_takes_every_slot_boundary_off_the_heap():
+    # no slot boundary is scheduled: the network loop (P4) and the lone-ED
+    # loop (one-ED P1) each change slot at every multiple of SLOT_MINUTES
+    # before the horizon, in order, and the heap holds patients' events and
+    # END_OF_HORIZON only
+    days = 4
+    runs = [
+        (network_scenario(policy="P4"), np.array([[1, 2, 1], [2, 1, 2], [1, 1, 1]]), "P4", False),
+        (single_ed_scenario(), np.array([[1, 3, 2]]), "P1", True),
+    ]
+    original, slot_of = EventCalendar.schedule, simulate.slot_of
+    for sc, plan, policy, alone in runs:
+        kinds, changes = [], []
 
-    def schedule(cal, time, kind, payload=None):
-        if kind == SLOT_BOUNDARY:
-            pending = sum(event[2] == SLOT_BOUNDARY for event in cal.heap)
-            scheduled.append((cal.clock, time, pending))
-        return original(cal, time, kind, payload)
+        def schedule(cal, time, kind, payload=None):
+            kinds.append(kind)
+            return original(cal, time, kind, payload)
 
-    sc, days = network_scenario(policy="P4"), 4
-    plan = np.array([[1, 2, 1], [2, 1, 2], [1, 1, 1]])
-    with mock.patch.object(EventCalendar, "schedule", schedule):
-        run_replication(sc, plan, "P4", short_spec(days=days))
-    assert scheduled[0] == (0.0, SLOT_MINUTES, 0)
-    assert all(time == clock + SLOT_MINUTES and not pending for clock, time, pending in scheduled)
-    assert len(scheduled) == days * 3 - 1  # every boundary before the horizon
+        def slot_change(t):
+            changes.append(t)
+            return slot_of(t)
+
+        with (
+            mock.patch.object(EventCalendar, "schedule", schedule),
+            mock.patch.object(simulate, "slot_of", slot_change),
+            mock.patch.object(simulate, "_run_alone", wraps=simulate._run_alone) as lone,
+        ):
+            run_replication(sc, plan, policy, short_spec(days=days))
+        assert lone.called == alone
+        assert changes == [k * SLOT_MINUTES for k in range(1, days * 3)]
+        assert set(kinds) <= {SERVICE_COMPLETE, TRANSFER_COMPLETE, END_OF_HORIZON}
+        assert kinds.count(END_OF_HORIZON) == 1 and kinds.count(SERVICE_COMPLETE) > days
 
 
 def test_arrival_advances_the_calendar_clock():
@@ -932,13 +951,17 @@ def counting_calls(owner, name):
 
 
 def counting_arrivals():
-    """Patches run_replication to sum the arrivals of its runs; returns (counter, patch)."""
-    arrivals = [0]
+    """Patches run_replication to count its runs and sum their arrivals.
+
+    Returns ([arrivals, runs], patch).
+    """
+    arrivals = [0, 0]
     original = simulate.run_replication
 
     def counted(*args, **kwargs):
         out = original(*args, **kwargs)
         arrivals[0] += out.created
+        arrivals[1] += 1
         return out
 
     return arrivals, mock.patch.object(simulate, "run_replication", counted)
@@ -946,11 +969,12 @@ def counting_arrivals():
 
 # Heap pops and schedules, LOS values computed and arrivals of one small
 # saa_evaluate; a loop that skips or adds event work moves them.  Arrivals
-# bypass the heap, so heap pops plus arrivals are every event of the loop:
-# 6,267 under P1 and 6,195 under P4.
+# and slot boundaries bypass the heap, so heap pops, arrivals and the 14
+# boundaries of each 5-day replication are every event of the loop: 6,267
+# under P1 (nine replications, each ED alone) and 6,195 under P4 (three).
 PINNED_EVENT_WORK = {
-    "P1": (1274, 1283, 1148, 4993),
-    "P4": (1202, 1211, 1147, 4993),
+    "P1": (1148, 1157, 1148, 4993),
+    "P4": (1160, 1169, 1147, 4993),
 }
 
 
@@ -965,4 +989,5 @@ def test_event_work_pinned(policy):
         saa_evaluate(sc, plan_for(sc, 1), policy, replications=3)
     got = (pops[0], schedules[0], samples[0], arrivals[0])
     assert got == PINNED_EVENT_WORK[policy]
-    assert pops[0] + arrivals[0] == {"P1": 6267, "P4": 6195}[policy]
+    boundaries = arrivals[1] * (5 * 3 - 1)
+    assert pops[0] + arrivals[0] + boundaries == {"P1": 6267, "P4": 6195}[policy]
