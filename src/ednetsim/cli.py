@@ -76,6 +76,19 @@ def _starting_plan(scenario, out_dir):
     )
 
 
+def _write_log(path, command, scenario, policy_id, replications, t0, results):
+    """The run log: the run's settings, the command's result lines, then the wall time."""
+    write_run_log(path, [
+        f"command: {command}",
+        f"scenario: {scenario.name}",
+        f"policy: {policy_id}",
+        f"seed: {scenario.replication.seed}",
+        f"replications: {replications}",
+        *results,
+        f"wall_seconds: {time.perf_counter() - t0:.2f}",
+    ])
+
+
 def cmd_simulate(scenario, replications, out_dir):
     """Estimate NVA times of the starting plan; writes nva.csv and diversions.csv."""
     t0 = time.perf_counter()
@@ -83,17 +96,12 @@ def cmd_simulate(scenario, replications, out_dir):
     summary = saa_evaluate(scenario, plan, scenario.policy, replications=replications)
     write_nva_csv(os.path.join(out_dir, "nva.csv"), scenario.ed_names, summary)
     write_diversions_csv(os.path.join(out_dir, "diversions.csv"), scenario.ed_names, summary)
-    write_run_log(
-        os.path.join(out_dir, "simulate.log"),
+    _write_log(
+        os.path.join(out_dir, "simulate.log"), "simulate", scenario, scenario.policy.id,
+        replications, t0,
         [
-            "command: simulate",
-            f"scenario: {scenario.name}",
-            f"policy: {scenario.policy.id}",
-            f"seed: {scenario.replication.seed}",
-            f"replications: {replications}",
             f"objective: {fmt_minutes(summary.objective)}",
             f"total_violation: {fmt_minutes(summary.total_violation)}",
-            f"wall_seconds: {time.perf_counter() - t0:.2f}",
         ],
     )
     for i, name in enumerate(scenario.ed_names):
@@ -106,19 +114,12 @@ def cmd_calibrate(scenario, replications, out_dir):
     t0 = time.perf_counter()
     plan, errors = calibrate_network(scenario, replications)
     write_plan_csv(os.path.join(out_dir, "calibrated_plan.csv"), scenario.ed_names, plan)
-    lines = [
-        "command: calibrate",
-        f"scenario: {scenario.name}",
-        f"seed: {scenario.replication.seed}",
-        f"replications: {replications}",
-        f"bounds: {list(scenario.plan_bounds)}",
-    ]
-    lines += [
-        f"l1_error[{name}]: {fmt_minutes(err)}"
-        for name, err in zip(scenario.ed_names, errors)
-    ]
-    lines.append(f"wall_seconds: {time.perf_counter() - t0:.2f}")
-    write_run_log(os.path.join(out_dir, "calibrate.log"), lines)
+    # every ED is calibrated alone, as P1 runs it, whatever the scenario's policy
+    _write_log(
+        os.path.join(out_dir, "calibrate.log"), "calibrate", scenario, "P1", replications, t0,
+        [f"bounds: {list(scenario.plan_bounds)}"]
+        + [f"l1_error[{name}]: {fmt_minutes(err)}" for name, err in zip(scenario.ed_names, errors)],
+    )
     for name, row in zip(scenario.ed_names, plan):
         print(f"{name}: {tuple(int(v) for v in row)}")
 
@@ -131,42 +132,23 @@ def cmd_optimize(scenario, budget, replications, out_dir):
     lo, hi = scenario.plan_bounds
     evaluate = make_allocation_problem(scenario, pol, replications)
     problem = BoxedIntegerProblem(
-        lower=lo,
-        upper=hi,
-        evaluate=evaluate,
-        start=start.reshape(-1),
-        budget=budget,
+        lower=lo, upper=hi, evaluate=evaluate, start=start.reshape(-1), budget=budget
     )
     result = solve(problem)
     start_summary = evaluate.summaries[tuple(int(v) for v in start.reshape(-1))]
     best_summary = evaluate.summaries[result.x]
 
-    write_plan_csv(
-        os.path.join(out_dir, f"optimal_plan_{pol.id}.csv"),
-        scenario.ed_names,
-        best_summary.plan,
-    )
+    names = scenario.ed_names
+    write_plan_csv(os.path.join(out_dir, f"optimal_plan_{pol.id}.csv"), names, best_summary.plan)
     write_objective_csv(
-        os.path.join(out_dir, f"objective_{pol.id}.csv"),
-        pol.id,
-        start_summary.objective,
-        result.f,
-        result.total_violation,
-        result.evaluations,
+        os.path.join(out_dir, f"objective_{pol.id}.csv"), pol.id, start_summary.objective,
+        result.f, result.total_violation, result.evaluations,
     )
-    write_nva_csv(
-        os.path.join(out_dir, f"optimal_nva_{pol.id}.csv"),
-        scenario.ed_names,
-        best_summary,
-    )
-    write_run_log(
-        os.path.join(out_dir, f"optimize_{pol.id}.log"),
+    write_nva_csv(os.path.join(out_dir, f"optimal_nva_{pol.id}.csv"), names, best_summary)
+    _write_log(
+        os.path.join(out_dir, f"optimize_{pol.id}.log"), "optimize", scenario, pol.id,
+        replications, t0,
         [
-            "command: optimize",
-            f"scenario: {scenario.name}",
-            f"policy: {pol.id}",
-            f"seed: {scenario.replication.seed}",
-            f"replications: {replications}",
             f"budget: {budget}",
             f"evaluations: {result.evaluations}",
             f"sweeps: {result.sweeps}",
@@ -175,7 +157,6 @@ def cmd_optimize(scenario, budget, replications, out_dir):
             f"f_opt: {fmt_minutes(result.f)}",
             f"total_violation_opt: {fmt_minutes(result.total_violation)}",
             f"total_resources_opt: {best_summary.plan.sum()}",
-            f"wall_seconds: {time.perf_counter() - t0:.2f}",
         ],
     )
     print(

@@ -86,10 +86,7 @@ def _arrival_process(node, path):
         rates = [rate_from_annual_count(c) for c in counts]
     else:
         rates = _numbers(node["rates"], SLOTS_PER_DAY, f"{path}.rates", minimum=0.0)
-    try:
-        return ArrivalProcess(rates)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    return ArrivalProcess(rates)
 
 
 def _los_distribution(node, path):
@@ -107,9 +104,8 @@ def _los_slots(node, path):
     if isinstance(node, list):
         if len(node) != SLOTS_PER_DAY:
             raise ScenarioError(f"{path}: per-slot list needs {SLOTS_PER_DAY} entries")
-        return [_los_distribution(item, f"{path}[{k}]") for k, item in enumerate(node)]
-    dist = _los_distribution(node, path)
-    return [dist] * SLOTS_PER_DAY
+        return tuple(_los_distribution(item, f"{path}[{k}]") for k, item in enumerate(node))
+    return (_los_distribution(node, path),) * SLOTS_PER_DAY
 
 
 def _real_waits(node, path):
@@ -118,6 +114,11 @@ def _real_waits(node, path):
     waits = [_numbers(_require(node, tag, path), SLOTS_PER_DAY, f"{path}.{tag}", minimum=0.0)
              for tag in TAG_NAMES]
     return np.array(waits).T
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def _duration(node, default, **units):
@@ -136,9 +137,9 @@ class Scenario:
 
     name: str
     ed_names: list
-    arrivals: list          # [ed][tag] -> ArrivalProcess | None
-    los: list               # [ed][tag][slot] -> LosDistribution
-    transfer: np.ndarray
+    arrivals: tuple         # [ed][tag] -> ArrivalProcess | None
+    los: tuple              # [ed][tag][slot] -> LosDistribution
+    transfer: np.ndarray    # read-only, as are real_waits and starting_plan
     policy: PolicySpec
     objective_spec: ObjectiveSpec
     replication: ReplicationSpec
@@ -235,21 +236,18 @@ def scenario_from_dict(data, name="inline"):
 
     obj_node = {} if data.get("objective") is None else data["objective"]
     _known_keys(obj_node, ("weights", "nva_limits"), "objective")
-    try:
-        objective_spec = ObjectiveSpec(
-            weights=tuple(
-                _numbers(obj_node["weights"], 3, "objective.weights")
-                if "weights" in obj_node
-                else ObjectiveSpec.weights
-            ),
-            nva_limits=tuple(
-                _numbers(obj_node["nva_limits"], 2, "objective.nva_limits", minimum=0.0)
-                if "nva_limits" in obj_node
-                else ObjectiveSpec.nva_limits
-            ),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"objective: {exc}") from None
+    objective_spec = ObjectiveSpec(
+        weights=tuple(
+            _numbers(obj_node["weights"], 3, "objective.weights")
+            if "weights" in obj_node
+            else ObjectiveSpec.weights
+        ),
+        nva_limits=tuple(
+            _numbers(obj_node["nva_limits"], 2, "objective.nva_limits", minimum=0.0)
+            if "nva_limits" in obj_node
+            else ObjectiveSpec.nva_limits
+        ),
+    )
 
     rep_node = {} if data.get("replication") is None else data["replication"]
     _known_keys(
@@ -277,7 +275,7 @@ def scenario_from_dict(data, name="inline"):
     if with_waits and len(with_waits) != n:
         missing = ", ".join(ed_names[i] for i in range(n) if real_rows[i] is None)
         raise ScenarioError(f"eds: real_waits present for some EDs but missing for {missing}")
-    real_waits = np.stack(real_rows) if with_waits else None
+    real_waits = _read_only(np.stack(real_rows)) if with_waits else None
 
     starting_plan = None
     if "starting_plan" in data:
@@ -292,14 +290,14 @@ def scenario_from_dict(data, name="inline"):
                     f"starting_plan[{i}]: count above plan_bounds max {plan_bounds[1]}"
                 )
             plan.append(values)
-        starting_plan = np.array(plan, dtype=int)
+        starting_plan = _read_only(np.array(plan, dtype=int))
 
     return Scenario(
         name=name,
         ed_names=ed_names,
-        arrivals=arrivals,
-        los=los,
-        transfer=transfer,
+        arrivals=tuple(arrivals),
+        los=tuple(los),
+        transfer=_read_only(transfer),
         policy=policy,
         objective_spec=objective_spec,
         replication=replication,

@@ -427,7 +427,7 @@ def replicate_alone(scenario, plan, replications, ed):
     if ed not in scenario.solo_runs:
         solo = replace(
             scenario,
-            arrivals=[a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)],
+            arrivals=tuple(a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)),
         )
         scenario.solo_runs[ed] = solo, {}
     solo, runs = scenario.solo_runs[ed]

@@ -14,6 +14,7 @@ solution is the best evaluated point by lexicographic order, feasibility
 first: (sum of violations, objective).
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +29,6 @@ class BudgetExhausted(Exception):
     """Raised internally when a new evaluation would exceed the budget."""
 
 
-def _int_vector(value, size, name):
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        arr = np.full(size, arr)
-    arr = np.asarray(arr, dtype=int)
-    if arr.shape != (size,):
-        raise ValueError(f"{name} must be a scalar or a vector of length {size}")
-    return arr
-
-
 @dataclass
 class BoxedIntegerProblem:
     """An integer black-box minimization over a box.
@@ -45,11 +36,11 @@ class BoxedIntegerProblem:
     evaluate(x) takes an integer tuple and returns (f, g) where g is a
     vector of non-negative constraint violations (empty or all-zero for
     an unconstrained problem).  The number of variables is len(start);
-    lower and upper are scalars or vectors of that length.
+    lower and upper are integer bounds shared by every variable.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: int
+    upper: int
     evaluate: callable
     start: np.ndarray
     budget: int
@@ -58,10 +49,9 @@ class BoxedIntegerProblem:
         self.start = np.asarray(self.start, dtype=int)
         if self.start.ndim != 1 or len(self.start) < 1:
             raise ValueError("start must be a non-empty vector")
-        self.lower = _int_vector(self.lower, len(self.start), "lower")
-        self.upper = _int_vector(self.upper, len(self.start), "upper")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bounds exceed upper bounds")
+        self.lower, self.upper = operator.index(self.lower), operator.index(self.upper)
+        if self.lower > self.upper:
+            raise ValueError("lower bound exceeds upper bound")
         if np.any(self.start < self.lower) or np.any(self.start > self.upper):
             raise ValueError("start point lies outside the box")
         if self.budget < 0:

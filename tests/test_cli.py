@@ -339,6 +339,16 @@ def test_bad_objective_value_names_file(tmp_path, capsys):
     assert not (tmp_path / "summary_objectives.csv").exists()
 
 
+def test_wrong_objective_header_fails(tmp_path, capsys):
+    # the whole header is checked, not only its first three names
+    (tmp_path / "optimal_plan_P1.csv").write_text("ED,slot1,slot2,slot3\nA,2,2,2\n")
+    obj_path = tmp_path / "objective_P1.csv"
+    obj_path.write_text("policy,f_start,f_opt,bogus,also_bogus\nP1,1.00,1.00,0.00,3\n")
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {obj_path}: not an objective table\n"
+    assert not (tmp_path / "summary_objectives.csv").exists()
+
+
 @pytest.mark.parametrize("seed", ["-5", "-1"])
 def test_negative_seed_fails(scenario_file, tmp_path, capsys, seed):
     args = ["simulate", "--scenario", str(scenario_file), "--seed", seed, "--out", str(tmp_path)]
@@ -575,8 +585,8 @@ PINNED_LOGS = {
     ],
     "optimize_P2/report.log": ["command: report", "policies: P2"],
     "calibrate/calibrate.log": [
-        "command: calibrate", "scenario: calpair", "seed: 19", "replications: 1",
-        "bounds: [2, 3]", "l1_error[busy]: 225.29", "l1_error[idle]: 0.00",
+        "command: calibrate", "scenario: calpair", "policy: P1", "seed: 19",
+        "replications: 1", "bounds: [2, 3]", "l1_error[busy]: 225.29", "l1_error[idle]: 0.00",
     ],
 }
 

@@ -10,6 +10,7 @@ import yaml
 
 from ednetsim import ObjectiveSpec, ScenarioError, parse_scenario, scenario_from_dict
 from ednetsim.network import RED, YELLOW
+from ednetsim.simulate import replicate_alone
 
 
 def minimal_ed(name="A", rates=(0.1, 0.1, 0.1)):
@@ -92,7 +93,7 @@ def test_unknown_tag_rejected():
         scenario_from_dict({"eds": [ed]})
     # only a missing or null mapping means "no arrivals"
     ed["arrivals"] = None
-    assert scenario_from_dict({"eds": [ed]}).arrivals == [(None, None)]
+    assert scenario_from_dict({"eds": [ed]}).arrivals == ((None, None),)
     ed["arrivals"] = []
     with pytest.raises(ScenarioError, match=r"^eds\[0\]\.arrivals: expected a mapping, got list"):
         scenario_from_dict({"eds": [ed]})
@@ -197,6 +198,28 @@ def test_study_inputs_are_frozen():
     with pytest.raises(FrozenInstanceError):
         sc.policy.id = "P4"
     assert (sc.replication.seed, sc.policy.id) == (1, "P1")
+
+
+def test_study_inputs_cannot_be_edited_in_place():
+    # an in-place edit would leave the kept timelines of the old inputs standing
+    data = paper_dict(2)
+    for ed in data["eds"]:
+        ed["real_waits"] = {"yellow": [10, 20, 30], "red": [1, 2, 3]}
+    data["starting_plan"] = [[3, 3, 3], [4, 4, 4]]
+    data["replication"] = {"horizon_days": 1, "warmup_minutes": 0}
+    sc = scenario_from_dict(data)
+    with pytest.raises(TypeError):
+        sc.arrivals[0] = (None, None)
+    with pytest.raises(TypeError):
+        sc.los[0][YELLOW][0] = sc.los[0][RED][0]
+    for array in (sc.transfer, sc.real_waits, sc.starting_plan):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 99
+    replicate_alone(sc, np.asarray(sc.starting_plan), 1, 1)
+    solo, _ = sc.solo_runs[1]
+    with pytest.raises(TypeError):
+        solo.arrivals[0] = sc.arrivals[0]
+    assert solo.arrivals[0] == (None, None)
 
 
 def test_real_waits_parsing_and_partial_error():

@@ -54,8 +54,10 @@ def test_problem_validation():
         BoxedIntegerProblem(2, 10, quadratic, start=[], budget=10)
     with pytest.raises(ValueError):
         BoxedIntegerProblem(2, 10, quadratic, start=5, budget=10)  # size comes from start
-    prob = BoxedIntegerProblem([2, 3], [10, 12], quadratic, start=[5, 5], budget=10)
-    assert np.array_equal(prob.clip([1, 20]), [2, 12])
+    with pytest.raises(TypeError):
+        BoxedIntegerProblem([2, 3], [10, 12], quadratic, start=[5, 5], budget=10)  # scalars only
+    prob = BoxedIntegerProblem(2, 10, quadratic, start=[5, 5], budget=10)
+    assert np.array_equal(prob.clip([1, 20]), [2, 10])
 
 
 def test_quadratic_18_vars_reaches_optimum():
