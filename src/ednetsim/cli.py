@@ -61,7 +61,7 @@ def _starting_plan(scenario, out_dir):
         names, plan = read_plan_csv(path)
         if names != scenario.ed_names:
             raise ValueError(
-                f"{path}: plan is for EDs {names}, scenario has EDs {scenario.ed_names}"
+                f"{path}: plan is for EDs {list(names)}, scenario has EDs {list(scenario.ed_names)}"
             )
         lo, hi = scenario.plan_bounds
         for name, row in zip(names, plan):

@@ -12,6 +12,7 @@ import numbers
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def rate_from_annual_count(count):
 class ArrivalProcess:
     """Day-periodic piecewise-constant-rate Poisson arrivals for one (ED, tag).
 
-    `slot_rates` holds one per-minute rate per 8-hour slot.  If every
+    `slot_rates` is a tuple of one per-minute rate per 8-hour slot.  If every
     rate is zero the process never produces an arrival and arrival_times
     returns an empty array.
     """
@@ -53,7 +54,7 @@ class ArrivalProcess:
             raise ValueError(f"expected {SLOTS_PER_DAY} slot rates, got {len(rates)}")
         if any(r < 0 for r in rates):
             raise ValueError(f"arrival rates must be non-negative, got {rates}")
-        self.slot_rates = rates
+        self.slot_rates = tuple(rates)
         # cumulative intensity at the end of each slot, from day start
         self._cum = np.cumsum([r * SLOT_MINUTES for r in rates])
         self.day_intensity = float(self._cum[-1])
@@ -182,7 +183,7 @@ def finite_number(value, name):
 class LosDistribution:
     """Length-of-stay distribution for one delay code (ED, slot, tag).
 
-    Parameters are canonicalized at construction:
+    Parameters are canonicalized at construction, into a read-only mapping:
 
     - exponential: mean
     - lognormal:   mu/sigma of the underlying normal, or mean/cv
@@ -216,7 +217,7 @@ class LosDistribution:
             if key != "values":
                 p[key] = finite_number(value, key)
             elif isinstance(value, (list, tuple)) and value:
-                p[key] = [finite_number(v, f"{key}[{k}]") for k, v in enumerate(value)]
+                p[key] = tuple(finite_number(v, f"{key}[{k}]") for k, v in enumerate(value))
             else:
                 raise ValueError(f"{key}: expected a non-empty list, got {value!r}")
         if not given or len(p) < len(given[0]):
@@ -236,7 +237,9 @@ class LosDistribution:
             # a cv near 0 or past the float range rounds to a degenerate distribution
             if not all(math.isfinite(v) and (v > 0.0 or key == "mu") for key, v in p.items()):
                 raise ValueError(f"{self.family} LOS mean/cv give degenerate parameters {p}")
-        self.params = p
+        # params is read-only; quantile reads the same values from a plain dict
+        self._p = p
+        self.params = MappingProxyType(p)
         if self.family == "gamma":
             # scipy takes about 0.25 s to import, so only gamma visit times load it
             from scipy.special import gammaincinv
@@ -260,9 +263,13 @@ class LosDistribution:
         except OverflowError:
             return math.inf
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from the canonical parameters
+        return LosDistribution, (self.family, self._p)
+
     def quantile(self, u):
         """Inverse CDF at u in [0, 1); one uniform per sample."""
-        p = self.params
+        p = self._p
         if self.family == "exponential":
             x = -p["mean"] * math.log(1.0 - u)
         elif self.family == "lognormal":

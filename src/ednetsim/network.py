@@ -41,7 +41,7 @@ class PolicySpec:
     """
 
     id: str = "P1"
-    p3_thresholds: list | None = None
+    p3_thresholds: tuple | None = None
     cascade: bool = False
 
     def __post_init__(self):

@@ -93,7 +93,7 @@ def read_plan_csv(path):
         name, counts = _read_row(path, "ED", row, PLAN_COLUMNS[1:], [int] * SLOTS_PER_DAY)
         names.append(name)
         plan.append(counts)
-    return names, plan
+    return tuple(names), plan
 
 
 def write_objective_csv(path, policy_id, f_start, f_opt, violation_opt, evaluations):

@@ -136,7 +136,7 @@ class Scenario:
     """Fully validated study inputs; see parse_scenario."""
 
     name: str
-    ed_names: list
+    ed_names: tuple
     arrivals: tuple         # [ed][tag] -> ArrivalProcess | None
     los: tuple              # [ed][tag][slot] -> LosDistribution
     transfer: np.ndarray    # read-only, as are real_waits and starting_plan
@@ -225,7 +225,7 @@ def scenario_from_dict(data, name="inline"):
     _known_keys(pol_node, ("id", "p3_thresholds", "cascade"), "policy")
     thresholds = pol_node.get("p3_thresholds")
     if thresholds is not None:
-        thresholds = _numbers(thresholds, n, "policy.p3_thresholds", minimum=1, read=_integer)
+        thresholds = tuple(_numbers(thresholds, n, "policy.p3_thresholds", 1, _integer))
     cascade = pol_node.get("cascade", False)
     if not isinstance(cascade, bool):
         raise ScenarioError(f"policy.cascade: expected true or false, got {cascade!r}")
@@ -294,7 +294,7 @@ def scenario_from_dict(data, name="inline"):
 
     return Scenario(
         name=name,
-        ed_names=ed_names,
+        ed_names=tuple(ed_names),
         arrivals=tuple(arrivals),
         los=tuple(los),
         transfer=_read_only(transfer),
@@ -308,10 +308,12 @@ def scenario_from_dict(data, name="inline"):
 
 
 def parse_scenario(path):
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file, read as bytes: the loader detects the
+    encoding, so a decoding error names the file.  libyaml's safe loader parses it
+    when PyYAML has one; it builds the same objects as SafeLoader, faster."""
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
     except yaml.YAMLError as exc:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -203,18 +204,18 @@ def test_empirical_los():
     assert dist.quantile(0.999) == 20.0
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    [
-        ("exponential", {"mean": 30.0}),
-        ("lognormal", {"mean": 100.0, "cv": 0.8}),
-        ("lognormal", {"mu": 3.0, "sigma": 0.5}),
-        ("gamma", {"mean": 45.0, "cv": 0.7}),
-        ("gamma", {"shape": 2.0, "scale": 12.0}),
-        ("weibull", {"shape": 1.5, "scale": 25.0}),
-        ("empirical", {"values": [5.0, 10.0, 20.0, 7.5]}),
-    ],
-)
+LOS_CASES = [
+    ("exponential", {"mean": 30.0}),
+    ("lognormal", {"mean": 100.0, "cv": 0.8}),
+    ("lognormal", {"mu": 3.0, "sigma": 0.5}),
+    ("gamma", {"mean": 45.0, "cv": 0.7}),
+    ("gamma", {"shape": 2.0, "scale": 12.0}),
+    ("weibull", {"shape": 1.5, "scale": 25.0}),
+    ("empirical", {"values": [5.0, 10.0, 20.0, 7.5]}),
+]
+
+
+@pytest.mark.parametrize("family, params", LOS_CASES)
 def test_los_mean_is_the_integral_of_the_quantile(family, params):
     # the mean is the integral of the quantile over (0, 1): the midpoint rule
     dist = LosDistribution(family, params)
@@ -223,6 +224,20 @@ def test_los_mean_is_the_integral_of_the_quantile(family, params):
     assert dist.mean == pytest.approx(midpoints, rel=1e-3)
     if "cv" in params:
         assert dist.mean == pytest.approx(params["mean"], rel=1e-12)
+
+
+@pytest.mark.parametrize("family, params", LOS_CASES)
+def test_los_parameters_are_read_only_and_pickle(family, params):
+    dist = LosDistribution(family, params)
+    with pytest.raises(TypeError):
+        dist.params["scale"] = 1.0
+    copy = pickle.loads(pickle.dumps(dist))
+    assert copy == dist and copy.params == dist.params
+    assert [copy.quantile(u) for u in (0.0, 0.3, 0.99)] == [dist.quantile(u) for u in (0.0, 0.3, 0.99)]
+    # equal distributions, however made, share one row of a LosStore
+    slots = [dist, LosDistribution(family, params), copy]
+    store = LosStore(np.random.Generator(np.random.PCG64(1)), [slots, slots])
+    assert len(store.rows) == 1
 
 
 def test_los_mean_past_the_largest_float_is_inf():
@@ -338,7 +353,7 @@ def test_los_parameter_rule(case):
         return
     dist = LosDistribution(family, params)
     if "cv" not in params:
-        assert dist.params == {key: float(value) if key != "values" else [float(v) for v in value]
+        assert dist.params == {key: float(value) if key != "values" else tuple(map(float, value))
                                for key, value in params.items()}
         return
     # the closed forms, as the bundled scenarios' CSVs were made with them

@@ -1,7 +1,7 @@
 """Scenario-file parsing and validation tests."""
 
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from ednetsim import ObjectiveSpec, ScenarioError, parse_scenario, scenario_from_dict
+from ednetsim.distributions import ArrivalProcess
 from ednetsim.network import RED, YELLOW
 from ednetsim.simulate import replicate_alone
 
@@ -130,7 +131,7 @@ def test_policy_parsing():
     assert scenario_from_dict(data).policy.id == "P4"
     data["policy"] = {"id": "P3", "p3_thresholds": [2, 3], "cascade": True}
     sc = scenario_from_dict(data)
-    assert sc.policy.p3_thresholds == [2, 3]
+    assert sc.policy.p3_thresholds == (2, 3)
     assert sc.policy.cascade is True
     data["policy"] = {"id": "P7"}
     with pytest.raises(ScenarioError, match="policy"):
@@ -207,7 +208,24 @@ def test_study_inputs_cannot_be_edited_in_place():
         ed["real_waits"] = {"yellow": [10, 20, 30], "red": [1, 2, 3]}
     data["starting_plan"] = [[3, 3, 3], [4, 4, 4]]
     data["replication"] = {"horizon_days": 1, "warmup_minutes": 0}
+    data["policy"] = {"id": "P3", "p3_thresholds": [1, 2]}
+    data["eds"][1]["los"]["red"] = {"family": "empirical", "values": [10, 20]}
     sc = scenario_from_dict(data)
+    yellow = sc.arrivals[0][YELLOW]
+    with pytest.raises(TypeError):
+        yellow.slot_rates[0] = 1.0
+    assert yellow.cumulative_intensity(480.0) == pytest.approx(480.0 * yellow.slot_rates[0])
+    for los in (sc.los[0][YELLOW][0], sc.los[1][RED][0]):
+        with pytest.raises(TypeError):
+            los.params["mean"] = 99
+    with pytest.raises(TypeError):
+        sc.los[1][RED][0].params["values"][0] = 99
+    with pytest.raises(AttributeError):
+        sc.ed_names.append("ED3")
+    assert sc.n_eds == 2
+    with pytest.raises(TypeError):
+        sc.policy.p3_thresholds[0] = 0
+    assert sc.policy.p3_thresholds == (1, 2)
     with pytest.raises(TypeError):
         sc.arrivals[0] = (None, None)
     with pytest.raises(TypeError):
@@ -371,7 +389,66 @@ def test_unknown_keys_rejected(where, key, path):
         scenario_from_dict(_with_key(data, where, key))
 
 
-def test_parse_scenario_file(tmp_path):
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+
+
+def _readme_yaml_blocks():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML has no libyaml loader here"
+)
+
+
+def _each_loader(monkeypatch):
+    """Yield under PyYAML's libyaml safe loader, if it has one, then as if it had none."""
+    if hasattr(yaml, "CSafeLoader"):
+        yield "libyaml"
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    yield "python"
+
+
+def _study_inputs(sc):
+    """repr of every compared Scenario field (repr also tells 1 from 1.0)."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, ArrivalProcess):
+            return value.slot_rates
+        if isinstance(value, tuple):
+            return tuple(plain(v) for v in value)
+        return value
+    return repr({f.name: plain(getattr(sc, f.name)) for f in fields(sc) if f.compare})
+
+
+@needs_libyaml
+def test_both_yaml_loaders_give_the_same_scenario(tmp_path, monkeypatch):
+    paths = list(SCENARIO_FILES)
+    for k, block in enumerate(_readme_yaml_blocks()):
+        paths.append(tmp_path / f"readme{k}.yaml")
+        paths[-1].write_text(block)
+    with_c = [_study_inputs(parse_scenario(p)) for p in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert [_study_inputs(parse_scenario(p)) for p in paths] == with_c
+
+
+@needs_libyaml
+def test_parse_scenario_uses_libyaml_when_pyyaml_has_it(monkeypatch):
+    streams = []
+
+    class Spy(yaml.CSafeLoader):
+        def __init__(self, stream):
+            streams.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+    parse_scenario(SCENARIO_FILES[0])
+    assert len(streams) == 1
+
+
+def test_parse_scenario_file(tmp_path, monkeypatch):
     path = tmp_path / "mini.yaml"
     path.write_text(
         "eds:\n"
@@ -382,14 +459,14 @@ def test_parse_scenario_file(tmp_path):
         "      yellow: {family: exponential, mean: 30}\n"
         "      red: {family: exponential, mean: 30}\n"
     )
-    sc = parse_scenario(path)
-    assert sc.name == "mini"
-    assert sc.n_eds == 1
+    for _ in _each_loader(monkeypatch):
+        sc = parse_scenario(path)
+        assert sc.name == "mini"
+        assert sc.n_eds == 1
 
 
 def test_readme_scenario_examples_parse():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    blocks = _readme_yaml_blocks()
     assert blocks
     for block in blocks:
         data = yaml.safe_load(block)
@@ -397,14 +474,23 @@ def test_readme_scenario_examples_parse():
         assert sc.n_eds == len(data["eds"])
 
 
-def test_parse_scenario_errors(tmp_path):
-    with pytest.raises(ScenarioError, match="not found"):
-        parse_scenario(tmp_path / "absent.yaml")
+def test_parse_scenario_errors(tmp_path, monkeypatch):
     bad = tmp_path / "bad.yaml"
     bad.write_text("eds: [\n")
-    with pytest.raises(ScenarioError, match="not well-formed"):
-        parse_scenario(bad)
     top = tmp_path / "top.yaml"
     top.write_text("- 1\n- 2\n")
-    with pytest.raises(ScenarioError, match="top level"):
-        parse_scenario(top)
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(ScenarioError, match="not found"):
+            parse_scenario(tmp_path / "absent.yaml")
+        with pytest.raises(ScenarioError, match="not well-formed"):
+            parse_scenario(bad)
+        with pytest.raises(ScenarioError, match="top level"):
+            parse_scenario(top)
+
+
+def test_undecodable_scenario_file_is_named(tmp_path, monkeypatch):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"eds:\n  - name: \xff\n")
+    for _ in _each_loader(monkeypatch):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(str(bad))}: not well-formed: .*#x00ff"):
+            parse_scenario(bad)
