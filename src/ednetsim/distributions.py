@@ -40,6 +40,7 @@ def rate_from_annual_count(count):
     return count / (365.0 * SLOT_MINUTES)
 
 
+@dataclass(frozen=True)
 class ArrivalProcess:
     """Day-periodic piecewise-constant-rate Poisson arrivals for one (ED, tag).
 
@@ -48,16 +49,18 @@ class ArrivalProcess:
     returns an empty array.
     """
 
-    def __init__(self, slot_rates):
-        rates = [finite_number(r, f"slot_rates[{k}]") for k, r in enumerate(slot_rates)]
+    slot_rates: tuple
+
+    def __post_init__(self):
+        rates = [finite_number(r, f"slot_rates[{k}]") for k, r in enumerate(self.slot_rates)]
         if len(rates) != SLOTS_PER_DAY:
             raise ValueError(f"expected {SLOTS_PER_DAY} slot rates, got {len(rates)}")
         if any(r < 0 for r in rates):
             raise ValueError(f"arrival rates must be non-negative, got {rates}")
-        self.slot_rates = tuple(rates)
+        object.__setattr__(self, "slot_rates", tuple(rates))
         # cumulative intensity at the end of each slot, from day start
-        self._cum = np.cumsum([r * SLOT_MINUTES for r in rates])
-        self.day_intensity = float(self._cum[-1])
+        object.__setattr__(self, "_cum", np.cumsum([r * SLOT_MINUTES for r in rates]))
+        object.__setattr__(self, "day_intensity", float(self._cum[-1]))
 
     def cumulative_intensity(self, t):
         """Integral of the intensity over [0, t]."""
@@ -97,73 +100,16 @@ class ArrivalProcess:
             return np.empty(0)
         target = self.cumulative_intensity(horizon)
         n0 = int(target + 8.0 * math.sqrt(target + 1.0) + 16.0)
-        acc = 0.0
-        out = []
-        done = False
-        n = max(64, n0)
-        while not done:
-            draws = rng.exponential(size=n)
-            draws[0] += acc
-            cum = np.cumsum(draws)
-            acc = cum[-1]
-            times = self._invert(cum)
-            if times[-1] >= horizon:
-                times = times[times < horizon]
-                done = True
-            out.append(times)
-            n = max(64, n // 4)
-        return np.concatenate(out) if len(out) > 1 else out[0]
-
-
-# Cephes ndtri (S. L. Moshier), the inverse normal CDF that scipy.special.ndtri
-# runs: the same coefficients, region split and Horner order give the same
-# doubles.  P0/Q0 cover exp(-2) < y < 1 - exp(-2); P1/Q1 and P2/Q2 the tails,
-# split at x = sqrt(-2 log y) = 8.  Q* omit their leading coefficient 1.
-_EXPM2 = 0.13533528323661269189
-_S2PI = 2.50662827463100050242
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def ndtri(y):
-    """Inverse of the standard normal CDF; -inf at 0, +inf at 1, NaN outside [0, 1]."""
-    if not 0.0 < y < 1.0:
-        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
-    upper = y > 1.0 - _EXPM2
-    if upper:
-        y = 1.0 - y
-    if y > _EXPM2:
-        y -= 0.5
-        y2 = y * y
-        p, q = _P0, _Q0
-        num = (((p[0] * y2 + p[1]) * y2 + p[2]) * y2 + p[3]) * y2 + p[4]
-        den = (((((((y2 + q[0]) * y2 + q[1]) * y2 + q[2]) * y2 + q[3]) * y2 + q[4]) * y2
-                 + q[5]) * y2 + q[6]) * y2 + q[7]
-        return (y + y * (y2 * num / den)) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    num = (((((((p[0] * z + p[1]) * z + p[2]) * z + p[3]) * z + p[4]) * z + p[5]) * z
-             + p[6]) * z + p[7]) * z + p[8]
-    den = (((((((z + q[0]) * z + q[1]) * z + q[2]) * z + q[3]) * z + q[4]) * z + q[5]) * z
-           + q[6]) * z + q[7]
-    x = x - math.log(x) / x - z * num / den
-    return x if upper else -x
+        cum = np.cumsum(rng.exponential(size=max(64, n0)))
+        # np.cumsum adds in sequence, so more draws with the running sum added
+        # to the first of them extend the same cumulative sum; the stream has
+        # no other reader, so how many more does not change the times
+        while self._invert(cum[-1:])[0] < horizon:
+            more = rng.exponential(size=len(cum))
+            more[0] += cum[-1]
+            cum = np.concatenate((cum, np.cumsum(more)))
+        times = self._invert(cum)
+        return times[times < horizon]
 
 
 def finite_number(value, name):
@@ -179,7 +125,7 @@ def finite_number(value, name):
     return float(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LosDistribution:
     """Length-of-stay distribution for one delay code (ED, slot, tag).
 
@@ -238,13 +184,18 @@ class LosDistribution:
             if not all(math.isfinite(v) and (v > 0.0 or key == "mu") for key, v in p.items()):
                 raise ValueError(f"{self.family} LOS mean/cv give degenerate parameters {p}")
         # params is read-only; quantile reads the same values from a plain dict
-        self._p = p
-        self.params = MappingProxyType(p)
+        object.__setattr__(self, "_p", p)
+        object.__setattr__(self, "params", MappingProxyType(p))
+        # scipy takes about 0.25 s to import, so only gamma visit times load it,
+        # and only lognormal ones load statistics
         if self.family == "gamma":
-            # scipy takes about 0.25 s to import, so only gamma visit times load it
             from scipy.special import gammaincinv
 
-            self._inverse = gammaincinv
+            object.__setattr__(self, "_inverse", gammaincinv)
+        elif self.family == "lognormal":
+            from statistics import NormalDist
+
+            object.__setattr__(self, "_inverse", NormalDist().inv_cdf)
 
     @property
     def mean(self):
@@ -273,7 +224,8 @@ class LosDistribution:
         if self.family == "exponential":
             x = -p["mean"] * math.log(1.0 - u)
         elif self.family == "lognormal":
-            x = math.exp(p["mu"] + p["sigma"] * ndtri(u))
+            # inv_cdf rejects 0, whose quantile is 0
+            x = math.exp(p["mu"] + p["sigma"] * self._inverse(u)) if u else 0.0
         elif self.family == "gamma":
             x = float(self._inverse(p["shape"], u)) * p["scale"]
         elif self.family == "weibull":

@@ -1,10 +1,12 @@
 """Arrival-process, visit-time, and statistics tests."""
 
+import importlib.util
 import math
 import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from ednetsim.distributions import (
     ArrivalProcess,
     LosDistribution,
     LosStore,
-    ndtri,
     rate_from_annual_count,
     summarize,
     t_critical,
@@ -390,19 +391,22 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path):
         return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
     assert exit_code("import sys, ednetsim.cli; sys.exit('scipy.stats' in sys.modules)") == 0
-    # exponential visit times, and calibration reports no confidence interval
+    scipy = "any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)"
+    # exponential visit times, and calibration reports no confidence interval:
+    # neither scipy nor statistics is loaded
     argv = ["calibrate", "--scenario", str(scenarios / "calibration_demo.yaml"),
             "--replications", "1", "--bounds", "2", "3", "--out", str(tmp_path)]
-    code = f"import sys; from ednetsim.cli import main; sys.exit(main({argv!r}) or 'scipy.special' in sys.modules)"
+    code = (f"import sys; from ednetsim.cli import main; "
+            f"sys.exit(main({argv!r}) or {scipy} or 'statistics' in sys.modules)")
     assert exit_code(code) == 0
     assert (tmp_path / "calibrated_plan.csv").exists()
-    # lognormal visit times (ndtri) and confidence intervals (t_critical)
-    # load no scipy module at all
+    # lognormal visit times load statistics (its inverse normal CDF), and
+    # they and confidence intervals (t_critical) load no scipy module at all
     lazio = scenarios / "lazio_synthetic.yaml"
     argv = ["optimize", "--scenario", str(lazio), "--budget", "2", "--replications", "2",
             "--out", str(tmp_path / "lazio")]
-    no_scipy = "any(name == 'scipy' or name.startswith('scipy.') for name in sys.modules)"
-    code = f"import sys; from ednetsim.cli import main; sys.exit(main({argv!r}) or {no_scipy})"
+    code = (f"import sys; from ednetsim.cli import main; "
+            f"sys.exit(main({argv!r}) or {scipy} or 'statistics' not in sys.modules)")
     assert exit_code(code) == 0
     assert (tmp_path / "lazio" / "optimal_plan_P1.csv").exists()
     # gamma visit times load scipy.special as the scenario is parsed
@@ -427,28 +431,57 @@ def test_t_critical_matches_scipy():
         assert t_critical(df) == pytest.approx(float(stdtrit(df, 0.975)), rel=1e-12, abs=0.0)
 
 
-def test_ndtri_matches_scipy_bit_for_bit():
-    from scipy.special import ndtri as scipy_ndtri
-
+def _normal_quantile_points():
+    """Uniforms, both tails down to 1e-300, and the region edges of Cephes and AS241."""
     rng = np.random.default_rng(20240611)
     uniforms = rng.random(200_000)
     tails = 10.0 ** rng.uniform(-300.0, 0.0, 20_000)
     edges = []
-    # the region edges exp(-2) and 1 - exp(-2), as Cephes writes exp(-2) and as libm computes it
-    for e in (0.13533528323661269189, math.exp(-2.0)):
+    # Cephes splits at exp(-2) and 1 - exp(-2), AS241 at 0.5 +- 0.425 and at
+    # the p whose sqrt(-log p) is 5
+    for e in (0.13533528323661269189, math.exp(-2.0), 0.075, math.exp(-25.0)):
         for y in (e, 1.0 - e):
             edges += [y, math.nextafter(y, 0.0), math.nextafter(y, 1.0)]
-    edges += [5e-324, 0.0, 1.0, 0.5]
-    for y in [*uniforms.tolist(), *tails.tolist(), *(1.0 - tails).tolist(), *edges]:
-        assert ndtri(y) == float(scipy_ndtri(y)), y
-    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
-    # the lognormal quantile equals the formula it had with scipy's ndtri
+    edges += [5e-324, 0.5]
+    points = [*uniforms.tolist(), *tails.tolist(), *(1.0 - tails).tolist(), *edges]
+    return [u for u in points if 0.0 < u < 1.0]
+
+
+def test_lognormal_quantile_matches_scipy_ndtri():
+    from scipy.special import ndtri
+
+    points = _normal_quantile_points()
     for params in ({"mean": 146.9, "cv": 0.8}, {"mu": 4.0, "sigma": 1.3}):
         dist = LosDistribution("lognormal", params)
         mu, sigma = dist.params["mu"], dist.params["sigma"]
-        for u in [0.0, *uniforms[:20_000].tolist(), *tails[:2_000].tolist()]:
-            old = math.exp(mu + sigma * scipy_ndtri(u)) if u > 0.0 else 0.0
-            assert dist.quantile(u) == (old if old > 0.0 else 1e-12)
+        want = np.exp(mu + sigma * ndtri(np.array(points)))
+        assert want.min() > 0.0
+        for u, x in zip(points, want.tolist()):
+            assert math.isclose(dist.quantile(u), x, rel_tol=1e-13, abs_tol=0.0), u
+        # u = 0 maps to the lower endpoint 0, floored to keep samples positive
+        assert dist.quantile(0.0) == 1e-12
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_statistics") is None,
+                    reason="statistics has no C inverse normal CDF here")
+def test_lognormal_quantile_same_in_c_and_python(monkeypatch):
+    # statistics takes its inverse normal CDF from the C module _statistics
+    # when it is there: both versions must give the same doubles, so that the
+    # CSVs do not depend on which one the interpreter has
+    params = {"mean": 146.9, "cv": 0.8}
+    with_c = LosDistribution("lognormal", params)
+    monkeypatch.setitem(sys.modules, "_statistics", None)
+    monkeypatch.delitem(sys.modules, "statistics")
+    importlib.import_module("statistics")
+    without_c = LosDistribution("lognormal", params)
+
+    def backend(dist):
+        return dist._inverse.__func__.__globals__["_normal_dist_inv_cdf"]
+
+    assert isinstance(backend(without_c), types.FunctionType)
+    assert not isinstance(backend(with_c), types.FunctionType)
+    for u in _normal_quantile_points():
+        assert without_c.quantile(u) == with_c.quantile(u), u
 
 
 def test_summarize_hand_value():

@@ -214,10 +214,18 @@ def test_study_inputs_cannot_be_edited_in_place():
     yellow = sc.arrivals[0][YELLOW]
     with pytest.raises(TypeError):
         yellow.slot_rates[0] = 1.0
+    # the derived cumulative intensity would keep the old rates
+    with pytest.raises(FrozenInstanceError):
+        yellow.slot_rates = (1.0, 1.0, 1.0)
     assert yellow.cumulative_intensity(480.0) == pytest.approx(480.0 * yellow.slot_rates[0])
     for los in (sc.los[0][YELLOW][0], sc.los[1][RED][0]):
         with pytest.raises(TypeError):
             los.params["mean"] = 99
+        median = los.quantile(0.5)
+        for name, value in (("family", "exponential"), ("params", {"mean": 99.0})):
+            with pytest.raises(FrozenInstanceError):
+                setattr(los, name, value)
+        assert los.quantile(0.5) == median
     with pytest.raises(TypeError):
         sc.los[1][RED][0].params["values"][0] = 99
     with pytest.raises(AttributeError):

@@ -646,9 +646,9 @@ def test_p2_p3_outputs_pinned():
 # its starting plan (10 days, R=2); any change to the event order of the
 # coupled loop moves them.
 PINNED_LAZIO = {
-    "P1": "32e451012ce4454fd5cd25eb454fa7555ad627c76aa0d79056602ed67ec2d0eb",
-    "P2": "36b3736e0bfd52f27f7b3a5d9ca0247140e7385ffb637eba3b8c57bc6fc2be2a",
-    "P3": "a3f131d3b9073718747882007c48f110c0e6eae01a4dc3c20cd684ce253f7ac0",
+    "P1": "156e11ea82bd467164050f326ac272541ae8126848d7a9e4c1d0fb26e388c1cd",
+    "P2": "9c118bcaead4038ed14879d0423d3c7d587c59c0aa424e445046d7f553ca638e",
+    "P3": "e642612867ab17674f955a34b2e3a968e5ab09d0e2a997061c67d4a87d449d4d",
     "P4": "52571b82a5a4dcef14426b22cba4245eb7d5393590ae775d920e8f50c9546b41",
 }
 
