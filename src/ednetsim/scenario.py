@@ -146,12 +146,11 @@ class Scenario:
     plan_bounds: tuple
     real_waits: np.ndarray | None = None      # (n_eds, 3 slots, 2 tags)
     starting_plan: np.ndarray | None = None   # (n_eds, 3 slots) ints
-    # simulate's kept inputs by (horizon, seed): the arrival timeline, read-only,
-    # and a dict of each staffed ED's LosStore by ED index; and replicate_alone's
-    # runs by ED (the ED's solo copy, and by plan row its per-replication
-    # results, replication k at index k, which a call for more replications
-    # extends).  Calibration's stopping bound needs every kept wait cell >= 0,
-    # censored waits included.  Every copy starts with empty caches
+    # simulate's kept Timeline by (horizon, seed): the arrivals, each ED's slice
+    # of them and its LosStore; and replicate_alone's per-replication results
+    # by (ED, plan row), replication k at index k, which a call for more
+    # replications extends.  Calibration's stopping bound needs every kept wait
+    # cell >= 0, censored waits included.  Every copy starts with empty caches
     timelines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     solo_runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 

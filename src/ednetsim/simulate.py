@@ -89,7 +89,7 @@ def check_plan(plan, n_eds, bounds):
     return plan if integral else plan.astype(int)
 
 
-def run_replication(scenario, plan, policy, spec, record_patients=False):
+def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None):
     """Simulate the network once and return its post-warm-up statistics.
 
     scenario: a loaded Scenario (arrival processes, visit-time table,
@@ -98,8 +98,9 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     policy: PolicySpec or policy id string.
     spec: ReplicationSpec (horizon, warm-up, seed).
     record_patients: keep a Patient record of every visit completed by a
-        patient triaged at or after warm-up, in completion order
-        (diagnostics; off by default to save memory).
+        patient triaged at or after warm-up, in completion order; under P1
+        ED by ED (diagnostics; off by default to save memory).
+    ed: under P1 only, the index of the one ED to run; the others stay empty.
 
     A patient is the timeline index of their arrival.  Events and ED queues
     carry that index; origin and tag are the arrival's payload, the triage
@@ -112,8 +113,9 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     tag the queue is FIFO.  Capacity changes are non-preemptive: when a
     shift boundary lowers the server count below the number of patients in
     service, the excess drains as services complete and nobody is dequeued
-    until busy falls below the new capacity.  A P1 run with arrivals at one
-    ED only takes _run_alone, which does the same work in the same order.
+    until busy falls below the new capacity.  Under P1 nobody moves: each ED
+    with arrivals runs alone, on its slice of the timeline and its own
+    calendar, and the counts add up.  The network loop serves P2-P4.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
@@ -127,37 +129,27 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
         )
     if thresholds is None or policy.id != "P3":
         thresholds = [math.inf] * n
+    if ed is not None and not (policy.id == "P1" and 0 <= ed < n):
+        raise ValueError(f"only P1 runs one ED alone, on an ED index in [0, {n}), got {ed}")
 
-    streams = RandomStreams(spec.seed)
-    times, payloads, sources, los = _arrival_timeline(scenario, horizon, streams)
-    # Under P1 a patient only boards at the ED they arrive at, so EDs that
-    # have no arrivals stay empty: they need no LOS stream and no staffing.
-    routing_active = policy.id != "P1"
-    staffed = range(n) if routing_active else sorted({ed for ed, _ in sources})
-    # LOS values depend on the ED's distributions, the seed and the index of
-    # the service start alone, so the store that the first replication on
-    # this timeline makes for an ED serves every later plan
-    for i in staffed:
-        if i not in los:
-            los[i] = LosStore(streams.get(i, "los"), scenario.los[i])
-    los_rows = {i: [[row for _, row in slots] for slots in los[i].cells] for i in staffed}
-
-    if not (np.all(np.isfinite(times) & (times >= 0.0)) and np.all(np.diff(times) >= 0.0)):
-        raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
-    calendar = EventCalendar()
-    heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
-    schedule(horizon, END_OF_HORIZON)
-
+    timeline = _arrival_timeline(scenario, horizon, RandomStreams(spec.seed))
+    los = timeline.los
     nva = [[[[] for _ in range(SLOTS_PER_DAY)] for _ in range(2)] for _ in range(n)]
     redirects_out = [0] * n
     records = [] if record_patients else None
-    triage = times.tolist()
-    triage.append(math.inf)  # ends the timeline; the horizon event comes first
-    if not routing_active and len(staffed) == 1:  # every replicate_alone run
-        ed = staffed[0]
-        counts = _run_alone(calendar, triage, payloads, ed, plan[ed], los[ed], los_rows[ed],
-                            warmup, horizon, nva[ed], records)
-        return _output(nva, redirects_out, records, *counts)
+    if policy.id == "P1":  # an ED without arrivals stays empty
+        runs = [
+            _run_alone(*timeline.slices[i], i, plan[i], los[i], warmup, horizon, nva[i], records)
+            for i in (range(n) if ed is None else (ed,)) if timeline.slices[i][1]
+        ]
+        return _output(nva, redirects_out, records, *map(sum, zip((0, 0, 0, 0), *runs)))
+
+    los_rows = [[[row for _, row in slots] for slots in store.cells] for store in los]
+    calendar = EventCalendar()
+    heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
+    schedule(horizon, END_OF_HORIZON)
+    payloads = timeline.payloads
+    triage = timeline.times.tolist() + [math.inf]  # inf ends it; the horizon comes first
 
     order = nearest_order(scenario.transfer)
     tau = scenario.transfer.tolist()
@@ -165,7 +157,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     capacity = [row[0] for row in plan]
     queues = [(deque(), deque()) for _ in range(n)]  # indexed by tag: yellow, red
     starts = [0] * n  # service starts so far, per ED
-    serving, service_start, entry_slot = [0] * len(times), [0.0] * len(times), [0] * len(times)
+    serving, service_start, entry_slot = [0] * len(triage), [0.0] * len(triage), [0] * len(triage)
     created = discharged = 0
     next_arrival = triage[0]  # triage[created], kept in a local
     boundary = SLOT_MINUTES if SLOT_MINUTES < horizon else math.inf  # the next slot's start
@@ -180,7 +172,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             clock = calendar.clock = boundary
             boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
             slot = slot_of(clock)
-            for e in staffed:
+            for e in range(n):
                 capacity[e] = plan[e][slot]
                 yellow, red = queues[e]
                 while busy[e] < capacity[e] and (red or yellow):
@@ -200,9 +192,9 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
             next_arrival = triage[created]
             ed_idx, tag = payloads[i]
             b = busy[ed_idx]
-            # P2-P4 divert only from an origin at its threshold (its P3
-            # threshold, else full occupancy); elsewhere every policy boards
-            if routing_active and (b >= capacity[ed_idx] or b >= thresholds[ed_idx]):
+            # divert only from an origin at its threshold (its P3 threshold,
+            # else full occupancy); elsewhere every policy boards
+            if b >= capacity[ed_idx] or b >= thresholds[ed_idx]:
                 target = decide_routing(policy, busy, capacity, thresholds, order, tag, ed_idx)
                 if target is not None:
                     if target == ed_idx:
@@ -276,15 +268,19 @@ def run_replication(scenario, plan, policy, spec, record_patients=False):
     return _output(nva, redirects_out, records, created, discharged, queued, sum(busy))
 
 
-def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, horizon,
-               nva, records):
-    """run_replication's loop for one ED working alone (P1); nva is its [tag][slot] table.
+def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
+    """run_replication's loop for one ED working alone (P1), on its own calendar.
 
-    It keeps the ED's state in locals and no serving ED, as nobody is
-    redirected.  Returns (created, discharged, queued, in_service).
+    (times, tags) is the ED's slice of the timeline and nva its [tag][slot]
+    table.  It keeps the ED's state in locals and no serving ED, as nobody
+    is redirected.  Returns (created, discharged, queued, in_service).
     """
+    calendar = EventCalendar()
     heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
-    service_start, entry_slot = [0.0] * len(payloads), [0] * len(payloads)
+    schedule(horizon, END_OF_HORIZON)
+    triage = times.tolist() + [math.inf]  # ends the timeline; the horizon event comes first
+    rows = [[row for _, row in slots] for slots in store.cells]
+    service_start, entry_slot = [0.0] * len(tags), [0] * len(tags)
     next_arrival, busy, capacity = triage[0], 0, plan_row[0]
     boundary = SLOT_MINUTES if SLOT_MINUTES < horizon else math.inf
     queues = yellow, red = deque(), deque()
@@ -299,7 +295,7 @@ def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, ho
                 j = (red or yellow).popleft()
                 busy += 1
                 service_start[j] = clock
-                los_minutes = store.value(payloads[j][1], entry_slot[j], starts)
+                los_minutes = store.value(tags[j], entry_slot[j], starts)
                 starts += 1
                 schedule(clock + los_minutes, SERVICE_COMPLETE, j)
             continue
@@ -309,7 +305,7 @@ def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, ho
             created += 1
             clock = calendar.clock = next_arrival
             next_arrival = triage[created]
-            tag = payloads[i][1]
+            tag = tags[i]
             entry_slot[i] = entered = slot
             if busy >= capacity:
                 queues[tag].append(i)
@@ -322,7 +318,7 @@ def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, ho
             discharged += 1
             t = triage[i]
             if t >= warmup:
-                tag, entered = payloads[i][1], entry_slot[i]
+                tag, entered = tags[i], entry_slot[i]
                 nva[tag][entered].append(service_start[i] - t)
                 if records is not None:
                     records.append(Patient(tag, ed, ed, t, service_start[i], 0.0, 0, entered))
@@ -331,7 +327,7 @@ def _run_alone(calendar, triage, payloads, ed, plan_row, store, rows, warmup, ho
                 busy -= 1
                 continue
             i = queue.popleft()
-            tag, entered = payloads[i][1], entry_slot[i]
+            tag, entered = tags[i], entry_slot[i]
         service_start[i] = clock
         try:
             los_minutes = rows[tag][entered][starts]
@@ -356,55 +352,70 @@ def _output(nva, redirects_out, records, created, discharged, queued, in_service
     return ReplicationOutput(nva, redirects_out, created, discharged, in_system, records)
 
 
+class Timeline:
+    """One (horizon, seed)'s arrivals, sorted by time, and each ED's LosStore.
+
+    payloads[i] is arrival i's (ED, tag), and slices[ed] the ED's own times
+    and tags: the merge is stable, so that is the timeline of a scenario
+    with that ED's arrivals alone.  Times are read-only.  checked: they were
+    found finite, non-negative and sorted.
+    """
+
+    def __init__(self, times, eds, tags, scenario, streams):
+        n = scenario.n_eds
+        keys = [(ed, tag) for ed in range(n) for tag in (YELLOW, RED)]
+        self.payloads = tuple(map(keys.__getitem__, (2 * eds + tags).tolist()))
+        self.slices = tuple((times[eds == ed], tuple(tags[eds == ed].tolist())) for ed in range(n))
+        for array in (times, *(t for t, _ in self.slices)):
+            array.flags.writeable = False
+        self.los = [LosStore(streams.get(ed, "los"), scenario.los[ed]) for ed in range(n)]
+        self.times, self.checked = times, False
+
+
 def _arrival_timeline(scenario, horizon, streams):
-    """Every arrival as (times, payloads, sources), sorted by time, and its LOS stores.
+    """The Timeline of (horizon, streams.seed), drawn and checked at its first use.
 
     The (ED, tag) streams are generated in ED then tag order and merged by
-    a stable sort, so simultaneous arrivals keep that order.  A payload is
-    the arrival's (ED index, tag); sources lists the pairs with arrivals.
-    The arrivals depend on the scenario, horizon and seed alone, so they
-    are drawn once per (horizon, seed) and kept, read-only, on
+    a stable sort, so simultaneous arrivals keep that order.  The arrivals
+    depend on the scenario, horizon and seed alone, so they are kept on
     scenario.timelines; a kept timeline leaves the arrival streams unused.
-    The fourth item, kept with it, is the dict of LosStore by ED index that
-    run_replication fills.
     """
-    kept = scenario.timelines
-    if (horizon, streams.seed) in kept:
-        return kept[horizon, streams.seed]
-    keys, chunks = [], []
-    for i in range(scenario.n_eds):
-        for tag, purpose in ((YELLOW, "arrival-yellow"), (RED, "arrival-red")):
-            process = scenario.arrivals[i][tag]
-            if process is None or process.day_intensity == 0.0:
-                continue
-            times = process.arrival_times(horizon, streams.get(i, purpose))
-            if len(times):
-                keys.append((i, tag))
-                chunks.append(times)
-    times = np.concatenate([np.empty(0), *chunks])
-    source = np.repeat(np.arange(len(keys)), [len(c) for c in chunks])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    times.flags.writeable = False
-    timeline = times, tuple(keys[k] for k in source[order].tolist()), tuple(keys), {}
-    kept[horizon, streams.seed] = timeline
+    key = horizon, streams.seed
+    if key not in scenario.timelines:
+        keys, chunks = [], []
+        for i in range(scenario.n_eds):
+            for tag, purpose in ((YELLOW, "arrival-yellow"), (RED, "arrival-red")):
+                process = scenario.arrivals[i][tag]
+                if process is not None and process.day_intensity > 0.0:
+                    keys.append((i, tag))
+                    chunks.append(process.arrival_times(horizon, streams.get(i, purpose)))
+        times = np.concatenate([np.empty(0), *chunks])
+        order = np.argsort(times, kind="stable")
+        pairs = np.array(keys, dtype=int).reshape(-1, 2).repeat([len(c) for c in chunks], axis=0)
+        scenario.timelines[key] = Timeline(times[order], *pairs[order].T, scenario, streams)
+    timeline = scenario.timelines[key]
+    t = timeline.times
+    if not (timeline.checked or np.isfinite(t).all() and (np.diff(t, prepend=0.0) >= 0.0).all()):
+        raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
+    timeline.checked = True
     return timeline
 
 
-def replicate(scenario, plan, policy, replications, first=0):
+def replicate(scenario, plan, policy, replications, first=0, ed=None):
     """The outputs of runs first, ..., replications - 1 of one plan, in order, as an iterator.
 
     Run k takes the seed scenario.replication.seed + k + 1, whatever the
     count, so every plan evaluated on the same scenario shares its random
     streams (common random numbers) and a longer run extends a shorter one.
     This is the only place that maps a base seed to replication seeds.
+    ed is passed on to run_replication: under P1, the one ED to run.
     Fewer than one replication raises ValueError at the call.
     """
     if replications < 1:
         raise ValueError(f"need at least one replication, got {replications}")
     base = scenario.replication
     return (
-        run_replication(scenario, plan, policy, replace(base, seed=base.seed + k + 1))
+        run_replication(scenario, plan, policy, replace(base, seed=base.seed + k + 1), ed=ed)
         for k in range(first, replications)
     )
 
@@ -413,27 +424,17 @@ def replicate_alone(scenario, plan, replications, ed):
     """One ED's first `replications` results when it works alone (P1): (means, waits).
 
     means lists the ED's pooled mean NVA by tag, (yellow, red), per
-    replication, and waits its 3x2 mean waits by (slot, tag).  The ED runs
-    on its solo copy of the scenario, which holds that ED's arrivals alone,
-    so only plan[ed] is staffed.  Streams stay keyed by the ED's own index,
-    so the runs are bit-identical to that ED's share of a whole-network P1
-    run.  The copy keeps its own arrival timelines and LOS values for every
-    row of the ED.  Replication k runs on the same seed whatever the count,
-    so scenario.solo_runs keeps one growing list of results per plan row: a
-    call simulates only the replications that list does not hold yet.
+    replication, and waits its 3x2 mean waits by (slot, tag).  The runs are
+    run_replication's with ed=ed: that ED's share of whole-network P1 runs,
+    bit for bit.  Replication k runs on the same seed whatever the count, so
+    scenario.solo_runs keeps one growing list of results per (ED, plan row):
+    a call simulates only the replications that list does not hold yet.
     """
     if not 0 <= ed < scenario.n_eds:
         raise ValueError(f"ED index {ed} out of range [0, {scenario.n_eds})")
-    if ed not in scenario.solo_runs:
-        solo = replace(
-            scenario,
-            arrivals=tuple(a if j == ed else (None, None) for j, a in enumerate(scenario.arrivals)),
-        )
-        scenario.solo_runs[ed] = solo, {}
-    solo, runs = scenario.solo_runs[ed]
-    means, waits = runs.setdefault(tuple(plan[ed].tolist()), ([], []))
+    means, waits = scenario.solo_runs.setdefault((ed, tuple(plan[ed].tolist())), ([], []))
     # replicate rejects a bad replication count before anything runs
-    for out in replicate(solo, plan, "P1", replications, first=len(means)):
+    for out in replicate(scenario, plan, "P1", replications, first=len(means), ed=ed):
         means.append((out.mean_nva(ed, YELLOW), out.mean_nva(ed, RED)))
         waits.append(out.slot_tag_waits(ed))
     return means[:replications], waits[:replications]

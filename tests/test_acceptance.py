@@ -2,9 +2,10 @@
 
 One test per acceptance criterion, ordered roughly by runtime; each
 prints a single [PASS]/[FAIL] line naming what it verified (visible
-with `pytest -s` or on failure).  The final test optimizes the bundled
-six-ED scenario under all four diversion policies and is the slowest
-item of the whole suite (a few minutes).
+with `pytest -s` or on failure).  The last two share one optimization of
+the bundled six-ED scenario under all four diversion policies, a
+module-scoped fixture and the slowest item of the whole suite: the first
+checks the ordering of the optima in sample, the second on fresh seeds.
 """
 
 import copy
@@ -34,7 +35,7 @@ from ednetsim import (
 )
 from ednetsim.calibrate import simulated_waits
 from ednetsim.cli import cmd_optimize, cmd_report, cmd_simulate
-from ednetsim.distributions import rate_from_annual_count
+from ednetsim.distributions import rate_from_annual_count, summarize
 from ednetsim.network import POLICY_IDS, RED, YELLOW
 
 from util import single_ed_scenario, with_replication
@@ -361,16 +362,30 @@ def test_calibration_recovers_known_capacities():
     )
 
 
-def test_optimization_reproduces_policy_ordering(tmp_path):
+# the desk-scale search: 10 replications on the scenario's seeds
+SEARCH_REPLICATIONS = 10
+# the out-of-sample check scores the optima on seeds 1001-1030
+OUT_OF_SAMPLE_SEED, OUT_OF_SAMPLE_REPLICATIONS = 1000, 30
+
+
+@pytest.fixture(scope="module")
+def optimized(tmp_path_factory):
+    """(scenario, cmd_optimize's result by policy) on the bundled six-ED scenario, run once."""
     scenario = parse_scenario(str(SCENARIO_PATH))
+    out_dir = str(tmp_path_factory.mktemp("optimize"))
     results = {}
     for policy in POLICY_IDS:
         results[policy] = cmd_optimize(
             replace(scenario, policy=replace(scenario.policy, id=policy)),
             budget=300,
-            replications=10,
-            out_dir=str(tmp_path),
+            replications=SEARCH_REPLICATIONS,
+            out_dir=out_dir,
         )
+    return scenario, results
+
+
+def test_optimization_reproduces_policy_ordering(optimized):
+    scenario, results = optimized
 
     # the starting point must sit in the same regime as the published one:
     # ED4 and ED5 violating both NVA limits under P1, every other ED feasible
@@ -392,4 +407,37 @@ def test_optimization_reproduces_policy_ordering(tmp_path):
         "f* "
         + " < ".join(f"{p}={f_opt[p]:.0f}" for p in sorted(f_opt, key=f_opt.get))
         + f"; resources {totals}; starting violations confined to ED4/ED5: {regime_ok}",
+    )
+
+
+def test_optimized_ordering_holds_out_of_sample(optimized):
+    # the search's f* is optimistic (Smith & Winkler's optimizer's curse):
+    # score each optimum on fresh replications and require the ordering
+    # through paired per-replication differences of f (common random numbers)
+    scenario, results = optimized
+    search = {scenario.replication.seed + k + 1 for k in range(SEARCH_REPLICATIONS)}
+    fresh = {OUT_OF_SAMPLE_SEED + k + 1 for k in range(OUT_OF_SAMPLE_REPLICATIONS)}
+    assert (min(search), max(search), min(fresh), max(fresh)) == (8, 17, 1001, 1030)
+    assert not search & fresh
+    fresh_spec = replace(scenario.replication, seed=OUT_OF_SAMPLE_SEED)
+    f, optimism = {}, {}
+    for policy in POLICY_IDS:
+        plan = results[policy]["plan"]
+        sc = replace(scenario, policy=replace(scenario.policy, id=policy), replication=fresh_spec)
+        summary = saa_evaluate(sc, plan, policy, OUT_OF_SAMPLE_REPLICATIONS)
+        f[policy] = np.array(
+            [objective_value(plan, means, scenario.objective_spec) for means in summary.rep_means]
+        )
+        optimism[policy] = f[policy].mean() - results[policy]["f_opt"]
+    intervals = {}
+    for better, worse in (("P4", "P2"), ("P2", "P3"), ("P3", "P1")):
+        mean, half = summarize(f[better] - f[worse])
+        intervals[f"{better}-{worse}"] = (mean - half, mean + half)
+    _criterion(
+        "optimized policy ordering out of sample",
+        all(hi < 0.0 for _, hi in intervals.values()),
+        f"seeds {min(fresh)}-{max(fresh)} (search {min(search)}-{max(search)}); paired 95% CIs "
+        + ", ".join(f"{k} [{lo:.0f}, {hi:.0f}]" for k, (lo, hi) in intervals.items())
+        + "; optimism (out-of-sample mean f - f*) "
+        + ", ".join(f"{p} {optimism[p]:.0f}" for p in POLICY_IDS),
     )

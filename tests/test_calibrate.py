@@ -291,21 +291,21 @@ def test_p1_evaluation_reuses_the_calibration_runs(monkeypatch):
     for i in range(3):
         sc = _three_ed_network()
         simulated_waits(sc, triple, replications, i)
-        solo = sc.solo_runs[i][0]
+        means, _ = sc.solo_runs[i, triple]
         ran = []
         original = simulate.run_replication
 
-        def counting(scenario, *args, **kwargs):
-            ran.append(scenario)
-            return original(scenario, *args, **kwargs)
+        def counting(*args, **kwargs):
+            ran.append(kwargs["ed"])
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "run_replication", counting)
         plan = plan_for(sc, 2)
         plan[i] = triple
-        saa_evaluate(sc, plan, "P1", replications)
+        summary = saa_evaluate(sc, plan, "P1", replications)
         monkeypatch.undo()
-        assert not any(scenario is solo for scenario in ran)
-        assert len(ran) == 2 * replications  # the other two EDs only
+        assert sorted(ran) == [j for j in range(3) if j != i for _ in range(replications)]
+        assert summary.rep_means[:, i].tolist() == [list(m) for m in means]
 
 
 def test_calibration_demo_header_recipe_reproduces_real_waits():

@@ -292,8 +292,8 @@ def test_p1_runs_are_shared_by_every_evaluation_of_a_scenario():
 @pytest.mark.parametrize("policy", ["P1", "P4"])
 def test_p1_memo_draws_each_arrival_stream_once(policy):
     # each (seed, ED, purpose) stream is made once, and its arrivals and visit
-    # times are kept for every later plan: under P1 on the ED's solo copy of
-    # the scenario, which runs every row of that ED, else on the scenario
+    # times are kept on the scenario for every later plan: under P1 each ED
+    # runs every row on its slice of the kept timeline
     sc = with_replication(distinct_three_ed_scenario(), ReplicationSpec(3 * 1440.0, 480.0, 5))
     evaluate = make_allocation_problem(sc, policy, replications=2)
     made = []

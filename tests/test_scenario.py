@@ -11,7 +11,6 @@ import yaml
 from ednetsim import ObjectiveSpec, ScenarioError, parse_scenario, scenario_from_dict
 from ednetsim.distributions import ArrivalProcess
 from ednetsim.network import RED, YELLOW
-from ednetsim.simulate import replicate_alone
 
 
 def minimal_ed(name="A", rates=(0.1, 0.1, 0.1)):
@@ -241,11 +240,6 @@ def test_study_inputs_cannot_be_edited_in_place():
     for array in (sc.transfer, sc.real_waits, sc.starting_plan):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 99
-    replicate_alone(sc, np.asarray(sc.starting_plan), 1, 1)
-    solo, _ = sc.solo_runs[1]
-    with pytest.raises(TypeError):
-        solo.arrivals[0] = sc.arrivals[0]
-    assert solo.arrivals[0] == (None, None)
 
 
 def test_real_waits_parsing_and_partial_error():

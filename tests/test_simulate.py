@@ -1,6 +1,7 @@
 """Replication-driver tests: conservation, warm-up, determinism, policies."""
 
 import argparse
+import contextlib
 import hashlib
 import math
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ednetsim import (
+    RandomStreams,
     ReplicationSpec,
     parse_scenario,
     run_replication,
@@ -45,6 +47,9 @@ from util import (
     starts,
     with_replication,
 )
+
+
+LAZIO = Path(__file__).resolve().parent.parent / "scenarios" / "lazio_synthetic.yaml"
 
 
 def short_spec(seed=1, days=20, warmup=480.0):
@@ -654,8 +659,7 @@ PINNED_LAZIO = {
 
 
 def test_six_ed_outputs_pinned():
-    path = Path(__file__).resolve().parent.parent / "scenarios" / "lazio_synthetic.yaml"
-    sc = parse_scenario(path)
+    sc = parse_scenario(LAZIO)
     sc = with_replication(sc, ReplicationSpec(horizon=10 * 1440.0, warmup=48 * 60.0, seed=7))
     got = {}
     for policy in PINNED_LAZIO:
@@ -765,15 +769,75 @@ def test_kept_timeline_survives_a_replication():
     sc = network_scenario(n=3, policy="P3")
     spec = short_spec(seed=8, days=4)
     first = run_replication(sc, plan_for(sc, 2), "P3", spec)
-    times, payloads, sources, _ = sc.timelines[(spec.horizon, spec.seed)]
-    kept = (times.copy(), list(payloads), list(sources))
-    assert not times.flags.writeable
+    timeline = sc.timelines[(spec.horizon, spec.seed)]
+    times, slices = timeline.times, timeline.slices
+
+    def contents():
+        return times.tobytes(), timeline.payloads, [(t.tobytes(), tags) for t, tags in slices]
+
+    kept = contents()
+    assert not any(t.flags.writeable for t in (times, *(t for t, _ in slices)))
     again = run_replication(sc, plan_for(sc, 2), "P3", spec)
-    assert sc.timelines[(spec.horizon, spec.seed)][0] is times
-    assert times.tobytes() == kept[0].tobytes()
-    assert (list(payloads), list(sources)) == kept[1:]
+    assert sc.timelines[(spec.horizon, spec.seed)] is timeline
+    assert timeline.times is times and timeline.slices is slices
+    assert contents() == kept
     assert len(times) == again.created == first.created
     assert again.nva == first.nva
+
+
+@pytest.mark.parametrize("case", ["lazio", "three EDs", "three EDs, whole minutes"])
+def test_each_ed_slice_is_its_solo_timeline(case):
+    # a P1 run of one ED takes its slice of the network's kept timeline; it
+    # must be, bit for bit, the timeline of a copy of the scenario that holds
+    # that ED's arrivals alone.  Whole-minute times tie across EDs and tags,
+    # and an unstable merge would reorder the tied tags
+    if case == "lazio":
+        sc = parse_scenario(LAZIO)
+        spec = ReplicationSpec(horizon=sc.replication.horizon, warmup=0.0, seed=8)
+    else:
+        sc, spec = scenario_from_dict(_three_ed_dict()), short_spec(seed=21, days=10)
+    draw = ArrivalProcess.arrival_times
+    floored = mock.patch.object(
+        ArrivalProcess, "arrival_times", lambda *args: np.floor(draw(*args))
+    )
+    with floored if "whole" in case else contextlib.nullcontext():
+        timeline = simulate._arrival_timeline(sc, spec.horizon, RandomStreams(spec.seed))
+        ties = len(timeline.times) - len(np.unique(timeline.times))
+        assert (ties > 100) == ("whole" in case)
+        for ed in range(sc.n_eds):
+            alone = tuple(a if j == ed else (None, None) for j, a in enumerate(sc.arrivals))
+            solo = simulate._arrival_timeline(
+                replace(sc, arrivals=alone), spec.horizon, RandomStreams(spec.seed)
+            )
+            times, tags = timeline.slices[ed]
+            assert len(times) > 0
+            assert times.tobytes() == solo.times.tobytes()
+            assert list(tags) == [tag for _, tag in solo.payloads]
+            assert {origin for origin, _ in solo.payloads} == {ed}
+
+
+def test_p1_runs_read_only_their_slices_after_the_first_check():
+    # the timeline's times are checked once, at its first use; after that a
+    # P1 run reads its EDs' slices alone, not the whole network's timeline
+    sc = scenario_from_dict(_three_ed_dict())
+    spec = short_spec(seed=4, days=3)
+    first = run_replication(sc, plan_for(sc, 2), "P1", spec, ed=1)
+    timeline = sc.timelines[spec.horizon, spec.seed]
+    assert timeline.checked and first.created == len(timeline.slices[1][1])
+    want = run_replication(sc, plan_for(sc, 3), "P1", spec)
+    timeline.times = timeline.payloads = None
+    assert run_replication(sc, plan_for(sc, 2), "P1", spec, ed=1).nva == first.nva
+    assert run_replication(sc, plan_for(sc, 3), "P1", spec).nva == want.nva
+    with pytest.raises(AttributeError):  # the network loop reads the whole timeline
+        run_replication(sc, plan_for(sc, 2), "P2", spec)
+
+
+@pytest.mark.parametrize("policy, ed", [("P1", -1), ("P1", 3), ("P2", 0), ("P4", 1)])
+def test_run_replication_names_an_ed_under_p1_only(policy, ed):
+    sc = scenario_from_dict(_three_ed_dict())
+    with pytest.raises(ValueError, match=rf"only P1 runs one ED alone.*\[0, 3\), got {ed}"):
+        run_replication(sc, plan_for(sc, 2), policy, short_spec(seed=4, days=3), ed=ed)
+    assert sc.timelines == {}
 
 
 def counting_los_samples():
@@ -789,18 +853,16 @@ def counting_los_samples():
 
 
 def los_stores(sc):
-    """Every LosStore kept on the scenario and its P1 solo copies, by (seed, ED)."""
-    copies = [sc, *(solo for solo, _ in sc.solo_runs.values())]
+    """Every LosStore kept on the scenario, by (seed, ED)."""
     return {
         (seed, ed): store
-        for copy in copies
-        for (_, seed), (*_, stores) in copy.timelines.items()
-        for ed, store in stores.items()
+        for (_, seed), timeline in sc.timelines.items()
+        for ed, store in enumerate(timeline.los)
     }
 
 
 def computed_los(sc):
-    """Every kept LOS value of the scenario and its P1 solo copies, by (seed, ED, row, k)."""
+    """Every kept LOS value of the scenario, by (seed, ED, row, k)."""
     return {
         (seed, ed, r, k): x
         for (seed, ed), store in los_stores(sc).items()
@@ -910,10 +972,10 @@ def _records_digest(records):
 
 
 # sha256 over every field of run_replication's patient records, in
-# completion order, on a loaded three-ED network; any change to how a
-# patient is routed, queued, served or recorded moves them.
+# completion order (under P1, ED by ED), on a loaded three-ED network; any
+# change to how a patient is routed, queued, served or recorded moves them.
 PINNED_RECORDS = {
-    "P1": "8c515932702d8c67a1d05bce05e718f3020675dd15b87651f31de1ba91b4dfe2",
+    "P1": "61f611364f7dc5c13581a576688825d0975fd62e450a52cbd4eff35d462b8d24",
     "P2": "5772c7e29633683e5c8c93ecf4a36de5f62d5d14f5c7824e2bf48749d1f57d09",
     "P3 thresholds cascade": "852eb41cc47549110acb691ec80ee933801e85afece990ff8ba7f1d15f883305",
     "P4": "ac26d0cb163b0162c3f626317030b7951e646bc15589a0a6c80a7190bf9deafb",

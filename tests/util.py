@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ednetsim import ReplicationSpec, run_replication, scenario_from_dict
+from ednetsim import RandomStreams, ReplicationSpec, run_replication, scenario_from_dict
+from ednetsim.simulate import Timeline
 
 
 def exp_los(mean):
@@ -123,9 +124,10 @@ def planted_network(arrivals, n=1, visit=30.0, horizon=1440.0):
         }
     )
     spec = ReplicationSpec(horizon=horizon, warmup=0.0, seed=1)
-    payloads = tuple((ed, tag) for _, ed, tag in arrivals)
-    times = np.array([t for t, _, _ in arrivals], dtype=float)
-    sc.timelines[spec.horizon, spec.seed] = times, payloads, tuple(sorted(set(payloads))), {}
+    times, eds, tags = np.array(arrivals, dtype=float).reshape(-1, 3).T
+    eds, tags = eds.astype(int), tags.astype(int)
+    timeline = Timeline(times.copy(), eds, tags, sc, RandomStreams(spec.seed))
+    sc.timelines[spec.horizon, spec.seed] = timeline
     return sc, spec
 
 
