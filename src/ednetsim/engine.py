@@ -1,9 +1,9 @@
-"""Discrete-event kernel: event calendar, clock, reproducible random streams.
+"""Discrete-event kernel: event kinds, heap functions, reproducible random streams.
 
-The kernel knows nothing about emergency departments.  It provides a
-future-event heap with deterministic tie-breaking, the per-replication
-clock, and a family of independent random substreams derived from a
-single replication seed.
+The kernel knows nothing about emergency departments.  It names the event
+kinds and the heap functions the event loops push and pop with, checks a
+replication's length, and provides a family of independent random
+substreams derived from a single replication seed.
 """
 
 import math
@@ -28,33 +28,17 @@ class SimulationLogicError(RuntimeError):
 
 
 class EventCalendar:
-    """Future-event list: a heap of scheduled events and the clock.
+    """heapq's two functions on a class: the loops' one place to push and pop.
 
-    Events are ordered by (time, seq), seq being the insertion number, so
-    ties go in insertion order and payloads are never compared.
-    `heap` is the heapq list itself: heap[0] is the next event, and callers
-    only read it.  Every replication is thus a pure function of its inputs.
+    Each event loop keeps a plain list as its heap of (time, seq, kind,
+    payload) entries, seq being the insertion number, so ties go in
+    insertion order and kinds and payloads are never compared.  A loop looks
+    both names up on the class once per run, so a wrapper set on the class
+    (to count or time heap work) is seen by every later run.
     """
 
-    def __init__(self):
-        self.heap = []
-        self._seq = 0
-        self.clock = 0.0
-
-    def schedule(self, time, kind, payload=None):
-        if time < self.clock:
-            raise SimulationLogicError(
-                f"cannot schedule event kind {kind} at t={time:g} "
-                f"before current clock t={self.clock:g}"
-            )
-        self._seq += 1
-        heappush(self.heap, (time, self._seq, kind, payload))
-
-    def pop(self):
-        """Remove and return the next (time, seq, kind, payload); advances the clock."""
-        ev = heappop(self.heap)
-        self.clock = ev[0]
-        return ev
+    schedule = heappush
+    pop = heappop
 
 
 @dataclass(frozen=True)

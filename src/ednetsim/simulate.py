@@ -114,8 +114,9 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
     shift boundary lowers the server count below the number of patients in
     service, the excess drains as services complete and nobody is dequeued
     until busy falls below the new capacity.  Under P1 nobody moves: each ED
-    with arrivals runs alone, on its slice of the timeline and its own
-    calendar, and the counts add up.  The network loop serves P2-P4.
+    with arrivals runs alone, on its slice of the timeline and its own heap,
+    and the counts add up.  The network loop serves P2-P4.  Both loops push
+    and pop a plain list with the heapq functions that EventCalendar holds.
     """
     policy = PolicySpec.coerce(policy)
     n = scenario.n_eds
@@ -145,9 +146,8 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
         return _output(nva, redirects_out, records, *map(sum, zip((0, 0, 0, 0), *runs)))
 
     los_rows = [[[row for _, row in slots] for slots in store.cells] for store in los]
-    calendar = EventCalendar()
-    heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
-    schedule(horizon, END_OF_HORIZON)
+    heap, seq, schedule, pop = [], 1, EventCalendar.schedule, EventCalendar.pop
+    schedule(heap, (horizon, seq, END_OF_HORIZON, None))
     payloads = timeline.payloads
     triage = timeline.times.tolist() + [math.inf]  # inf ends it; the horizon comes first
 
@@ -169,7 +169,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
     # `created`).  END_OF_HORIZON keeps the heap from emptying.
     while True:
         if boundary <= next_arrival and boundary <= heap[0][0]:
-            clock = calendar.clock = boundary
+            clock = boundary
             boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
             slot = slot_of(clock)
             for e in range(n):
@@ -182,13 +182,14 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
                     k = starts[e]
                     starts[e] = k + 1
                     los_minutes = los[e].value(payloads[j][1], entry_slot[j], k)
-                    schedule(clock + los_minutes, SERVICE_COMPLETE, j)
+                    seq += 1
+                    schedule(heap, (clock + los_minutes, seq, SERVICE_COMPLETE, j))
             continue
 
         if heap[0][0] > next_arrival:
             i = created
             created += 1
-            clock = calendar.clock = next_arrival
+            clock = next_arrival
             next_arrival = triage[created]
             ed_idx, tag = payloads[i]
             b = busy[ed_idx]
@@ -196,13 +197,12 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
             # else full occupancy); elsewhere every policy boards
             if b >= capacity[ed_idx] or b >= thresholds[ed_idx]:
                 target = decide_routing(policy, busy, capacity, thresholds, order, tag, ed_idx)
-                if target is not None:
-                    if target == ed_idx:
-                        raise SimulationLogicError(f"ED {ed_idx} redirected to itself")
+                if target is not None:  # never the origin
                     if clock >= warmup:
                         redirects_out[ed_idx] += 1
                     serving[i] = target
-                    schedule(clock + tau[ed_idx][target], TRANSFER_COMPLETE, i)
+                    seq += 1
+                    schedule(heap, (clock + tau[ed_idx][target], seq, TRANSFER_COMPLETE, i))
                     continue
             serving[i] = ed_idx
             entry_slot[i] = entered = slot
@@ -212,7 +212,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
             busy[ed_idx] = b + 1
 
         else:
-            clock, _, kind, i = pop()  # the payload of a patient's event is the patient
+            clock, _, kind, i = pop(heap)  # the payload of a patient's event is the patient
             if kind == SERVICE_COMPLETE:
                 discharged += 1
                 ed_idx = serving[i]
@@ -245,11 +245,8 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
                     continue
                 busy[ed_idx] += 1
 
-            elif kind == END_OF_HORIZON:
+            else:  # END_OF_HORIZON
                 break
-
-            else:  # pragma: no cover - the calendar only holds the kinds above
-                raise SimulationLogicError(f"unhandled event kind {kind}")
 
         # service starts for patient i at ed_idx, on the LOS value kept for
         # its (distribution, k) if an earlier replication computed it
@@ -262,22 +259,23 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
             los_minutes = math.nan
         if los_minutes != los_minutes:
             los_minutes = los[ed_idx].value(tag, entered, k)
-        schedule(clock + los_minutes, SERVICE_COMPLETE, i)
+        seq += 1
+        schedule(heap, (clock + los_minutes, seq, SERVICE_COMPLETE, i))
 
     queued = sum(len(yellow) + len(red) for yellow, red in queues)
     return _output(nva, redirects_out, records, created, discharged, queued, sum(busy))
 
 
 def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
-    """run_replication's loop for one ED working alone (P1), on its own calendar.
+    """run_replication's loop for one ED working alone (P1), on its own heap.
 
     (times, tags) is the ED's slice of the timeline and nva its [tag][slot]
     table.  It keeps the ED's state in locals and no serving ED, as nobody
     is redirected.  Returns (created, discharged, queued, in_service).
     """
-    calendar = EventCalendar()
-    heap, pop, schedule = calendar.heap, calendar.pop, calendar.schedule
-    schedule(horizon, END_OF_HORIZON)
+    heap, schedule, pop = [], EventCalendar.schedule, EventCalendar.pop
+    # every later entry is a service start: the k-th (from 0) has seq k + 2
+    schedule(heap, (horizon, 1, END_OF_HORIZON, None))
     triage = times.tolist() + [math.inf]  # ends the timeline; the horizon event comes first
     rows = [[row for _, row in slots] for slots in store.cells]
     service_start, entry_slot = [0.0] * len(tags), [0] * len(tags)
@@ -287,7 +285,7 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
     starts = created = discharged = slot = 0  # starts: service starts so far
     while True:
         if boundary <= next_arrival and boundary <= heap[0][0]:
-            clock = calendar.clock = boundary
+            clock = boundary
             boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
             slot = slot_of(clock)
             capacity = plan_row[slot]
@@ -297,13 +295,13 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
                 service_start[j] = clock
                 los_minutes = store.value(tags[j], entry_slot[j], starts)
                 starts += 1
-                schedule(clock + los_minutes, SERVICE_COMPLETE, j)
+                schedule(heap, (clock + los_minutes, starts + 1, SERVICE_COMPLETE, j))
             continue
 
         if heap[0][0] > next_arrival:
             i = created
             created += 1
-            clock = calendar.clock = next_arrival
+            clock = next_arrival
             next_arrival = triage[created]
             tag = tags[i]
             entry_slot[i] = entered = slot
@@ -312,7 +310,7 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
                 continue
             busy += 1
         else:
-            clock, _, kind, i = pop()
+            clock, _, kind, i = pop(heap)
             if kind == END_OF_HORIZON:  # a lone ED schedules completions only
                 break
             discharged += 1
@@ -336,7 +334,7 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
         if los_minutes != los_minutes:
             los_minutes = store.value(tag, entered, starts)
         starts += 1
-        schedule(clock + los_minutes, SERVICE_COMPLETE, i)
+        schedule(heap, (clock + los_minutes, starts + 1, SERVICE_COMPLETE, i))
 
     return created, discharged, len(yellow) + len(red), busy
 

@@ -1,72 +1,112 @@
-"""Event calendar, replication spec, and random-stream tests.
+"""Event heap, replication spec, and random-stream tests.
 
-The calendar holds scheduled events only; run_replication merges the
-arrival timeline into it, so the merge is tested through the loop on
-planted timelines, here and in test_simulate.py.
+The loops keep scheduled events on a plain list, pushed and popped with
+the heapq functions that EventCalendar holds, and merge the arrival
+timeline and slot boundaries in themselves, so the heap's order is tested
+through the loops on planted timelines and random networks, here and in
+test_simulate.py.
 """
 
+import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ednetsim.engine import (
-    SERVICE_COMPLETE,
-    EventCalendar,
-    RandomStreams,
-    ReplicationSpec,
-    SimulationLogicError,
-)
-from ednetsim.network import RED, YELLOW
+from ednetsim import run_replication, scenario_from_dict
+from ednetsim.engine import END_OF_HORIZON, EventCalendar, RandomStreams, ReplicationSpec
+from ednetsim.network import RED, YELLOW, PolicySpec
 
-from util import one_ed_run, starts
+from util import one_ed_run, planted_network, starts
 
 
-def test_calendar_orders_by_time():
-    cal = EventCalendar()
-    cal.schedule(5.0, SERVICE_COMPLETE, "a")
-    cal.schedule(3.0, SERVICE_COMPLETE, "b")
-    cal.schedule(4.0, SERVICE_COMPLETE, "c")
-    popped = [cal.pop()[3] for _ in range(3)]
-    assert popped == ["b", "c", "a"]
+def test_loops_push_and_pop_with_heapq_itself():
+    # no Python frame between the loops and heapq's C functions: a wrapper
+    # belongs on the class only while something counts or times heap work
+    assert EventCalendar.schedule is heapq.heappush
+    assert EventCalendar.pop is heapq.heappop
 
 
 def test_calendar_breaks_ties_by_insertion_order():
-    cal = EventCalendar()
-    for name in ("first", "second", "third"):
-        cal.schedule(7.0, SERVICE_COMPLETE, name)
-    assert [cal.pop()[3] for _ in range(3)] == ["first", "second", "third"]
+    # every visit takes 100 minutes on a row of (1, 3, 3) servers.  Patient 0
+    # ends at 500; at the boundary at 480 the queue sends red patient 2, then
+    # yellow patient 1, into service, so both end at 580 and leave in that
+    # order, not by index or tag.  Patient 3 starts at 500.  Patient 4's
+    # visit would end at the horizon, where END_OF_HORIZON, scheduled first,
+    # wins the tie: the run ends with patient 4 still in service
+    arrivals = [(400.0, YELLOW), (410.0, YELLOW), (420.0, RED), (430.0, YELLOW),
+                (1340.0, YELLOW)]
+    for policy in ("P1", "P2"):  # the lone-ED loop, then the network loop
+        sc, spec = planted_network([(t, 0, tag) for t, tag in arrivals], visit=100.0)
+        out = run_replication(sc, np.array([[1, 3, 3]]), policy, spec, record_patients=True)
+        assert [(p.t_triage, p.t_service_start) for p in out.patients] == [
+            (400.0, 400.0), (420.0, 480.0), (410.0, 480.0), (430.0, 500.0),
+        ]
+        assert (out.created, out.discharged, out.in_system) == (5, 4, 1)
 
 
-def test_calendar_tie_break_ignores_payload():
-    # payloads may be unorderable objects; ties must not compare them
-    cal = EventCalendar()
-    cal.schedule(1.0, SERVICE_COMPLETE, object())
-    cal.schedule(1.0, SERVICE_COMPLETE, object())
-    cal.pop()
-    cal.pop()
+@st.composite
+def small_networks(draw):
+    """(scenario, plan, policy, spec) of 1-3 EDs over one to three days."""
+    n = draw(st.integers(1, 3))
+    rates = st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.1]), min_size=3, max_size=3)
+    los = st.sampled_from([
+        {"family": "exponential", "mean": 45.0},
+        {"family": "empirical", "values": [20.0, 60.0]},  # visits often end together
+    ])
+    eds = [
+        {
+            "name": f"ED{i}",
+            "arrivals": {"yellow": {"rates": draw(rates)}, "red": {"rates": draw(rates)}},
+            "los": {"yellow": draw(los), "red": draw(los)},
+        }
+        for i in range(n)
+    ]
+    tau = [[0.0 if i == j else draw(st.sampled_from([10.0, 20.0])) for j in range(n)]
+           for i in range(n)]
+    sc = scenario_from_dict({"eds": eds, "transfer_minutes": tau, "plan_bounds": [1, 3]})
+    plan = np.array(draw(st.lists(st.lists(st.integers(1, 3), min_size=3, max_size=3),
+                                  min_size=n, max_size=n)))
+    thresholds = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    policy = PolicySpec(draw(st.sampled_from(["P1", "P2", "P3", "P4"])),
+                        p3_thresholds=thresholds, cascade=draw(st.booleans()))
+    spec = ReplicationSpec(horizon=draw(st.integers(1, 3)) * 1440.0,
+                           warmup=draw(st.sampled_from([0.0, 480.0])),
+                           seed=draw(st.integers(0, 99)))
+    return sc, plan, policy, spec
 
 
-def test_clock_advances_and_rejects_past_events():
-    cal = EventCalendar()
-    cal.schedule(10.0, SERVICE_COMPLETE)
-    assert cal.clock == 0.0
-    cal.pop()
-    assert cal.clock == 10.0
-    with pytest.raises(SimulationLogicError):
-        cal.schedule(9.0, SERVICE_COMPLETE)
-    cal.schedule(10.0, SERVICE_COMPLETE)  # same-time scheduling stays legal
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_networks())
+def test_calendar_orders_by_time(case):
+    # each loop pops its heap in (time, seq) order: times never decrease,
+    # no two entries tie on seq (so kinds and payloads are never compared),
+    # and none comes after the horizon, where END_OF_HORIZON, with seq 1,
+    # ends the loop.  Under P1 each ED with arrivals runs its own loop
+    sc, plan, policy, spec = case
+    runs, popped = [], []
 
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry)
+        if entry[2] == END_OF_HORIZON:
+            runs.append(popped[:])
+            popped.clear()
+        return entry
 
-def test_calendar_empties_after_every_event():
-    cal = EventCalendar()
-    with pytest.raises(IndexError):
-        cal.pop()
-    cal.schedule(1.0, SERVICE_COMPLETE, "x")
-    cal.schedule(2.0, SERVICE_COMPLETE, "y")
-    assert [cal.pop()[3] for _ in range(2)] == ["x", "y"]
-    with pytest.raises(IndexError):
-        cal.pop()
+    with mock.patch.object(EventCalendar, "pop", pop):
+        run_replication(sc, plan, policy, spec)
+    slices = sc.timelines[spec.horizon, spec.seed].slices
+    assert not popped
+    assert len(runs) == (sum(bool(tags) for _, tags in slices) if policy.id == "P1" else 1)
+    for entries in runs:
+        keys = [entry[:2] for entry in entries]
+        assert keys == sorted(set(keys))
+        assert keys[-1] == (spec.horizon, 1)
+        assert all(kind != END_OF_HORIZON for _, _, kind, _ in entries[:-1])
 
 
 def test_calendar_interleaves_arrivals_and_scheduled_events():

