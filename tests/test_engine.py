@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ednetsim import run_replication, scenario_from_dict
-from ednetsim.engine import END_OF_HORIZON, EventCalendar, RandomStreams, ReplicationSpec
+from ednetsim.engine import (
+    END_OF_HORIZON,
+    SERVICE_COMPLETE,
+    EventCalendar,
+    RandomStreams,
+    ReplicationSpec,
+)
 from ednetsim.network import RED, YELLOW, PolicySpec
 
 from util import one_ed_run, planted_network, starts
@@ -46,6 +52,31 @@ def test_calendar_breaks_ties_by_insertion_order():
             (400.0, 400.0), (420.0, 480.0), (410.0, 480.0), (430.0, 500.0),
         ]
         assert (out.created, out.discharged, out.in_system) == (5, 4, 1)
+
+
+def test_calendar_tie_break_ignores_payload():
+    # payloads may be unorderable objects: (time, seq) decides every
+    # comparison, so heapq never reaches kind or payload
+    heap = []
+    EventCalendar.schedule(heap, (1.0, 2, SERVICE_COMPLETE, object()))
+    EventCalendar.schedule(heap, (1.0, 3, SERVICE_COMPLETE, object()))
+    assert [EventCalendar.pop(heap)[1] for _ in range(2)] == [2, 3]
+    # in the planted run above two visits end at 580 and one at the horizon,
+    # yet no two entries pushed on one heap share a seq
+    for policy in ("P1", "P2"):
+        pushed = []
+
+        def schedule(heap, entry):
+            pushed.append(entry[:2])
+            return heapq.heappush(heap, entry)
+
+        sc, spec = planted_network([(400.0, 0, YELLOW), (410.0, 0, YELLOW), (420.0, 0, RED),
+                                    (430.0, 0, YELLOW), (1340.0, 0, YELLOW)], visit=100.0)
+        with mock.patch.object(EventCalendar, "schedule", schedule):
+            run_replication(sc, np.array([[1, 3, 3]]), policy, spec)
+        times = [t for t, _ in pushed]
+        assert times.count(580.0) == 2 and times.count(spec.horizon) == 2
+        assert len({seq for _, seq in pushed}) == len(pushed)
 
 
 @st.composite
@@ -107,6 +138,63 @@ def test_calendar_orders_by_time(case):
         assert keys == sorted(set(keys))
         assert keys[-1] == (spec.horizon, 1)
         assert all(kind != END_OF_HORIZON for _, _, kind, _ in entries[:-1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_networks())
+def test_clock_advances_and_rejects_past_events(case):
+    # the clock is the time of the last entry popped, or of the arrival
+    # being handled; no loop pushes an entry before it, so popped times
+    # never go back, and each run's clock reaches the horizon (under P1 an
+    # ED without arrivals runs no loop)
+    sc, plan, policy, spec = case
+    clock, ends = [0.0], []
+
+    def schedule(heap, entry):
+        assert entry[0] >= clock[0]
+        return heapq.heappush(heap, entry)
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        assert entry[0] >= clock[0]
+        clock[0] = entry[0]
+        if entry[2] == END_OF_HORIZON:
+            ends.append(clock[0])
+            clock[0] = 0.0  # under P1 the next ED's run starts its own clock
+        return entry
+
+    with (
+        mock.patch.object(EventCalendar, "schedule", schedule),
+        mock.patch.object(EventCalendar, "pop", pop),
+    ):
+        run_replication(sc, plan, policy, spec)
+    slices = sc.timelines[spec.horizon, spec.seed].slices
+    runs = sum(bool(tags) for _, tags in slices) if policy.id == "P1" else 1
+    assert ends == [spec.horizon] * runs
+
+
+def test_calendar_empties_after_every_event():
+    # END_OF_HORIZON is the last entry a run pops.  When every visit has
+    # ended before the horizon the heap is empty after it, and a further pop
+    # fails as on any empty list; a visit still running at the horizon is
+    # all that is left on it
+    ended = []
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        if entry[2] == END_OF_HORIZON:
+            ended.append(heap)
+        return entry
+
+    with mock.patch.object(EventCalendar, "pop", pop):
+        one_ed_run([(10.0, YELLOW), (1000.0, RED)], [1, 1, 1])
+        for policy in ("P1", "P2"):
+            sc, spec = planted_network([(400.0, 0, YELLOW), (1420.0, 0, RED)], visit=100.0)
+            run_replication(sc, np.array([[1, 1, 1]]), policy, spec)
+    assert ended[0] == []
+    with pytest.raises(IndexError):
+        EventCalendar.pop(ended[0])
+    assert [[entry[0] for entry in heap] for heap in ended[1:]] == [[1520.0], [1520.0]]
 
 
 def test_calendar_interleaves_arrivals_and_scheduled_events():
