@@ -246,32 +246,36 @@ class LosStore:
 
     The k-th service start at the ED takes the k-th uniform of the stream,
     so its LOS under a distribution is dist.sample(uniforms, k), whatever
-    the plan.  The store draws the uniforms UNIFORM_BLOCK at a time (PCG64
-    fills an array with the same doubles as successive scalar calls, and
-    the stream has no other reader) and keeps one row of values per
-    distinct distribution of the ED, NaN until the first replication that
-    needs that (distribution, k) computes it.
+    the plan.  The store draws the uniforms UNIFORM_BLOCK at a time, the
+    first block when it is made (PCG64 fills an array with the same doubles
+    as successive scalar calls, and the stream has no other reader), and
+    keeps one row of values per distinct distribution of the ED, NaN until
+    the first replication that needs that (distribution, k) computes it.
+    Every row reaches at least one index past the highest k computed, so
+    the event loops read the next start's value as table[tag][slot][k].
 
     rng: the ED's visit-time stream for the seed.
     los: the ED's [tag][slot] table of LosDistribution.
     cells: the same table of (distribution, its row of values); equal
         distributions share a row.
+    table: the same table of rows alone.
     """
 
     def __init__(self, rng, los):
         self._rng = rng
-        self.uniforms = array("d")
+        self.uniforms = array("d", rng.random(UNIFORM_BLOCK).tobytes())
         distinct, self.rows = [], []
         for dist in (d for slots in los for d in slots):
             if dist not in distinct:
                 distinct.append(dist)
-                self.rows.append(array("d"))
+                self.rows.append(array("d", _UNSET_BLOCK))
         self.cells = [[(d, self.rows[distinct.index(d)]) for d in slots] for slots in los]
+        self.table = [[row for _, row in slots] for slots in self.cells]
 
     def value(self, tag, slot, k):
         """The LOS of the k-th service start under the (tag, slot) distribution."""
         dist, values = self.cells[tag][slot]
-        while k >= len(values):
+        while k + 1 >= len(values):
             self.uniforms.frombytes(self._rng.random(UNIFORM_BLOCK).tobytes())
             for row in self.rows:
                 row.extend(_UNSET_BLOCK)

@@ -145,7 +145,6 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
         ]
         return _output(nva, redirects_out, records, *map(sum, zip((0, 0, 0, 0), *runs)))
 
-    los_rows = [[[row for _, row in slots] for slots in store.cells] for store in los]
     heap, seq, schedule, pop = [], 1, EventCalendar.schedule, EventCalendar.pop
     schedule(heap, (horizon, seq, END_OF_HORIZON, None))
     payloads = timeline.payloads
@@ -158,7 +157,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
     queues = [(deque(), deque()) for _ in range(n)]  # indexed by tag: yellow, red
     starts = [0] * n  # service starts so far, per ED
     serving, service_start, entry_slot = [0] * len(triage), [0.0] * len(triage), [0] * len(triage)
-    created = discharged = 0
+    clock = created = discharged = 0
     next_arrival = triage[0]  # triage[created], kept in a local
     boundary = SLOT_MINUTES if SLOT_MINUTES < horizon else math.inf  # the next slot's start
     slot = 0  # slot boundaries win exact ties, so this is slot_of(clock) at every event
@@ -169,24 +168,26 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
     # `created`).  END_OF_HORIZON keeps the heap from emptying.
     while True:
         if boundary <= next_arrival and boundary <= heap[0][0]:
-            clock = boundary
-            boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
-            slot = slot_of(clock)
-            for e in range(n):
-                capacity[e] = plan[e][slot]
-                yellow, red = queues[e]
-                while busy[e] < capacity[e] and (red or yellow):
-                    j = (red or yellow).popleft()
-                    busy[e] += 1
-                    service_start[j] = clock
-                    k = starts[e]
-                    starts[e] = k + 1
-                    los_minutes = los[e].value(payloads[j][1], entry_slot[j], k)
-                    seq += 1
-                    schedule(heap, (clock + los_minutes, seq, SERVICE_COMPLETE, j))
-            continue
+            # each pass starts one boarded patient: lowest ED first, red
+            # before yellow.  Every earlier event was strictly before the
+            # boundary, so clock < boundary marks its first pass
+            if clock < boundary:
+                clock = boundary
+                slot = slot_of(clock)
+                for e in range(n):
+                    capacity[e] = plan[e][slot]
+            for ed_idx in range(n):
+                yellow, red = queues[ed_idx]
+                if busy[ed_idx] < capacity[ed_idx] and (red or yellow):
+                    break
+            else:  # nobody left to start: the boundary is done
+                boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
+                continue
+            i = (red or yellow).popleft()
+            busy[ed_idx] += 1
+            tag, entered = payloads[i][1], entry_slot[i]
 
-        if heap[0][0] > next_arrival:
+        elif heap[0][0] > next_arrival:
             i = created
             created += 1
             clock = next_arrival
@@ -253,10 +254,7 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
         service_start[i] = clock
         k = starts[ed_idx]
         starts[ed_idx] = k + 1
-        try:
-            los_minutes = los_rows[ed_idx][tag][entered][k]
-        except IndexError:  # no value kept this far yet
-            los_minutes = math.nan
+        los_minutes = los[ed_idx].table[tag][entered][k]
         if los_minutes != los_minutes:
             los_minutes = los[ed_idx].value(tag, entered, k)
         seq += 1
@@ -277,28 +275,26 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
     # every later entry is a service start: the k-th (from 0) has seq k + 2
     schedule(heap, (horizon, 1, END_OF_HORIZON, None))
     triage = times.tolist() + [math.inf]  # ends the timeline; the horizon event comes first
-    rows = [[row for _, row in slots] for slots in store.cells]
+    table = store.table
     service_start, entry_slot = [0.0] * len(tags), [0] * len(tags)
     next_arrival, busy, capacity = triage[0], 0, plan_row[0]
     boundary = SLOT_MINUTES if SLOT_MINUTES < horizon else math.inf
     queues = yellow, red = deque(), deque()
-    starts = created = discharged = slot = 0  # starts: service starts so far
+    clock = starts = created = discharged = slot = 0  # starts: service starts so far
     while True:
         if boundary <= next_arrival and boundary <= heap[0][0]:
-            clock = boundary
-            boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
-            slot = slot_of(clock)
-            capacity = plan_row[slot]
-            while busy < capacity and (red or yellow):
-                j = (red or yellow).popleft()
-                busy += 1
-                service_start[j] = clock
-                los_minutes = store.value(tags[j], entry_slot[j], starts)
-                starts += 1
-                schedule(heap, (clock + los_minutes, starts + 1, SERVICE_COMPLETE, j))
-            continue
-
-        if heap[0][0] > next_arrival:
+            if clock < boundary:  # the boundary's first pass, as in run_replication
+                clock = boundary
+                slot = slot_of(clock)
+                capacity = plan_row[slot]
+            queue = red or yellow
+            if busy >= capacity or not queue:
+                boundary = clock + SLOT_MINUTES if clock + SLOT_MINUTES < horizon else math.inf
+                continue
+            i = queue.popleft()
+            busy += 1
+            tag, entered = tags[i], entry_slot[i]
+        elif heap[0][0] > next_arrival:
             i = created
             created += 1
             clock = next_arrival
@@ -327,10 +323,7 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
             i = queue.popleft()
             tag, entered = tags[i], entry_slot[i]
         service_start[i] = clock
-        try:
-            los_minutes = rows[tag][entered][starts]
-        except IndexError:  # no value kept this far yet
-            los_minutes = math.nan
+        los_minutes = table[tag][entered][starts]
         if los_minutes != los_minutes:
             los_minutes = store.value(tag, entered, starts)
         starts += 1

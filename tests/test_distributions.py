@@ -150,12 +150,21 @@ def test_nhpp_slot_counts_match_rates():
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
 def test_block_uniforms_equal_scalar_draws(seed):
-    # two and a half blocks: the sequence runs on across block boundaries
+    # two and a half blocks: the sequence runs on across block boundaries.
+    # The loops read a start's value as table[tag][slot][k] with no bounds
+    # check: a fresh store's rows hold NaN at 0, and after value(k) every
+    # row, including the red one that is never read here, reaches past k + 1
     n = 2 * UNIFORM_BLOCK + UNIFORM_BLOCK // 2
     scalar = np.random.Generator(np.random.PCG64(seed))
     dist = LosDistribution("exponential", {"mean": 30.0})
-    store = LosStore(np.random.Generator(np.random.PCG64(seed)), [[dist] * SLOTS_PER_DAY] * 2)
-    values = [store.value(0, 0, k) for k in range(n)]
+    red = [LosDistribution("exponential", {"mean": 60.0})] * SLOTS_PER_DAY
+    store = LosStore(np.random.Generator(np.random.PCG64(seed)), [[dist] * SLOTS_PER_DAY, red])
+    assert len(store.rows) == 2
+    assert all(math.isnan(row[0]) for slots in store.table for row in slots)
+    values = []
+    for k in range(n):
+        values.append(store.value(0, 0, k))
+        assert min(map(len, store.rows)) > k + 1
     draws = [scalar.random() for _ in range(n)]
     assert store.uniforms.tolist()[:n] == draws
     assert values == [dist.quantile(u) for u in draws]

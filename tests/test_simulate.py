@@ -334,6 +334,36 @@ def test_capacity_raise_starts_queued_red_first():
     ]
 
 
+@pytest.mark.parametrize("policy", ["P2", "P4"])
+def test_capacity_raise_at_two_eds_starts_each_ed_red_first(policy):
+    # the network loop: both EDs are full from 405, so nobody is redirected
+    # and four patients board.  At 480 each ED gets two more servers: ED0's
+    # red and yellow start, then ED1's, and the four visits end at 580 in
+    # that order, after the first two at 500 and 505
+    arrivals = [(400.0, 0, YELLOW), (405.0, 1, YELLOW), (410.0, 0, YELLOW),
+                (415.0, 1, RED), (420.0, 0, RED), (425.0, 1, YELLOW)]
+    sc, spec = planted_network(arrivals, n=2, visit=100.0)
+    original, popped = EventCalendar.pop, []
+
+    def pop(heap):
+        entry = original(heap)
+        popped.append(entry[0])
+        return entry
+
+    with mock.patch.object(EventCalendar, "pop", pop):
+        out = run_replication(sc, np.array([[1, 3, 1]] * 2), policy, spec, record_patients=True)
+    assert out.redirects_out == [0, 0]
+    assert [(p.serving, p.tag, p.t_triage, p.t_service_start) for p in out.patients] == [
+        (0, YELLOW, 400.0, 400.0),
+        (1, YELLOW, 405.0, 405.0),
+        (0, RED, 420.0, 480.0),
+        (0, YELLOW, 410.0, 480.0),
+        (1, RED, 415.0, 480.0),
+        (1, YELLOW, 425.0, 480.0),
+    ]
+    assert popped == [500.0, 505.0, 580.0, 580.0, 580.0, 580.0, spec.horizon]
+
+
 def test_arrival_at_a_slot_boundary_enters_the_new_slot():
     # the boundary at 480 goes before the arrival at the same minute, so the
     # patient enters slot 1 and takes one of its two servers at once
@@ -947,7 +977,8 @@ def test_per_slot_los_table_keeps_one_row_per_distinct_distribution():
     (store,) = los_stores(sc).values()
     assert len(store.rows) == 2
     gamma, exponential = store.rows
-    assert [[row for _, row in slots] for slots in store.cells] == [
+    # the loops read the table's rows, which are the cells' rows themselves
+    assert store.table == [[row for _, row in slots] for slots in store.cells] == [
         [gamma, exponential, gamma],
         [exponential] * 3,
     ]
