@@ -60,11 +60,9 @@ class Patient(NamedTuple):
 
     tag: int
     origin: int
-    serving: int
+    serving: int  # another ED: redirected once, after transfer[origin][serving] minutes
     t_triage: float
     t_service_start: float
-    transfer_minutes: float
-    redirects: int
     entry_slot: int
 
 
@@ -102,10 +100,9 @@ def decide_routing(policy, busy, capacity, thresholds, order, tag, origin):
     server count and its P3 occupancy threshold (math.inf for none: full
     occupancy).  order is nearest_order of the transfer matrix; every policy
     tries candidates in that order.  Returns the target ED index for a
-    redirection, or None to board.  run_replication asks only at an origin
-    at its threshold (busy >= min(threshold, capacity)), since every policy
-    boards elsewhere; for direct callers the function stays total and
-    returns None at an origin with room.
+    redirection, or None to board.  Precondition: the origin is at its
+    threshold, busy[origin] >= min(thresholds[origin], capacity[origin]).
+    run_replication asks only there, since every policy boards elsewhere.
     """
     if policy.id == "P1":
         return None
@@ -114,8 +111,6 @@ def decide_routing(policy, busy, capacity, thresholds, order, tag, origin):
         # nearest-ED rule; under P2 every threshold is full occupancy
         if policy.id == "P3" and tag == RED:
             return None
-        if busy[origin] < min(thresholds[origin], capacity[origin]):
-            return None
         candidates = order[origin] if policy.cascade else order[origin][:1]
         for j in candidates:
             if busy[j] < min(thresholds[j], capacity[j]):
@@ -123,8 +118,6 @@ def decide_routing(policy, busy, capacity, thresholds, order, tag, origin):
         return None
 
     # P4: least occupied ED of the whole network (origin included), nearest on ties
-    if busy[origin] < capacity[origin]:
-        return None
     min_busy = min(busy)
     if busy[origin] == min_busy:
         return None

@@ -31,8 +31,6 @@ class ScenarioError(ValueError):
 
 
 def _require(mapping, key, path):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{path}: expected a mapping, got {type(mapping).__name__}")
     if key not in mapping:
         raise ScenarioError(f"{path}.{key}: required key is missing")
     return mapping[key]

@@ -222,10 +222,8 @@ def run_replication(scenario, plan, policy, spec, record_patients=False, ed=None
                     origin, tag = payloads[i]
                     nva[ed_idx][tag][entry_slot[i]].append(service_start[i] - t_triage)
                     if records is not None:
-                        moved = ed_idx != origin
                         records.append(Patient(
-                            tag, origin, ed_idx, t_triage, service_start[i],
-                            tau[origin][ed_idx] if moved else 0.0, int(moved), entry_slot[i],
+                            tag, origin, ed_idx, t_triage, service_start[i], entry_slot[i]
                         ))
                 # the freed server goes to the first boarded red patient, else
                 # yellow, unless a capacity drop left the ED over its server count
@@ -315,7 +313,7 @@ def _run_alone(times, tags, ed, plan_row, store, warmup, horizon, nva, records):
                 tag, entered = tags[i], entry_slot[i]
                 nva[tag][entered].append(service_start[i] - t)
                 if records is not None:
-                    records.append(Patient(tag, ed, ed, t, service_start[i], 0.0, 0, entered))
+                    records.append(Patient(tag, ed, ed, t, service_start[i], entered))
             queue = red or yellow
             if not queue or busy > capacity:
                 busy -= 1
@@ -348,11 +346,13 @@ class Timeline:
 
     payloads[i] is arrival i's (ED, tag), and slices[ed] the ED's own times
     and tags: the merge is stable, so that is the timeline of a scenario
-    with that ED's arrivals alone.  Times are read-only.  checked: they were
-    found finite, non-negative and sorted.
+    with that ED's arrivals alone.  Times are read-only, and finite,
+    non-negative and sorted, or SimulationLogicError before anything is built.
     """
 
     def __init__(self, times, eds, tags, scenario, streams):
+        if not (np.isfinite(times).all() and (np.diff(times, prepend=0.0) >= 0.0).all()):
+            raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
         n = scenario.n_eds
         keys = [(ed, tag) for ed in range(n) for tag in (YELLOW, RED)]
         self.payloads = tuple(map(keys.__getitem__, (2 * eds + tags).tolist()))
@@ -360,11 +360,11 @@ class Timeline:
         for array in (times, *(t for t, _ in self.slices)):
             array.flags.writeable = False
         self.los = [LosStore(streams.get(ed, "los"), scenario.los[ed]) for ed in range(n)]
-        self.times, self.checked = times, False
+        self.times = times
 
 
 def _arrival_timeline(scenario, horizon, streams):
-    """The Timeline of (horizon, streams.seed), drawn and checked at its first use.
+    """The Timeline of (horizon, streams.seed), drawn at its first use.
 
     The (ED, tag) streams are generated in ED then tag order and merged by
     a stable sort, so simultaneous arrivals keep that order.  The arrivals
@@ -384,12 +384,7 @@ def _arrival_timeline(scenario, horizon, streams):
         order = np.argsort(times, kind="stable")
         pairs = np.array(keys, dtype=int).reshape(-1, 2).repeat([len(c) for c in chunks], axis=0)
         scenario.timelines[key] = Timeline(times[order], *pairs[order].T, scenario, streams)
-    timeline = scenario.timelines[key]
-    t = timeline.times
-    if not (timeline.checked or np.isfinite(t).all() and (np.diff(t, prepend=0.0) >= 0.0).all()):
-        raise SimulationLogicError("arrival times must be finite, non-negative and sorted")
-    timeline.checked = True
-    return timeline
+    return scenario.timelines[key]
 
 
 def replicate(scenario, plan, policy, replications, first=0, ed=None):

